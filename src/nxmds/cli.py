@@ -30,6 +30,7 @@ from .hashing import (
     seed_bit_count,
     HashVector,
 )
+from .matrix import mat_add
 from .storage import (
     corrupt,
     from_slices,
@@ -179,23 +180,16 @@ def cmd_corrupt(args) -> int:
     model, t = _parse_model(args.model)
     rng = _rng(args.seed, LABEL_PLAN)
     plan = sample_error_plan(model, t, rng, params, f=args.rank)
-    field = params.field
     for node_id, rows in plan.entries:
-        content = state.content(node_id)
-        patched = [
-            [field.add(a, b) for a, b in zip(old, err)]
-            for old, err in zip(content, rows)
-        ]
         container.write_matrix(
             _node_path(args.dir, node_id),
             container.header_for(params, node_id=node_id),
-            patched,
+            mat_add(params.field, state.content(node_id), rows),
         )
     _emit([
         ("command", "corrupt"),
         ("model", plan.model),
         ("nodes", _format_nodes(plan.nodes)),
-        ("committed-at", plan.committed_at),
     ])
     return EXIT_CLEAN
 

@@ -26,7 +26,8 @@ from .errors import (
     SingularSystem,
     TooFewNodes,
 )
-from .matrix import mat_mul
+from .field import iter_elements
+from .matrix import dot, mat_mul
 
 
 @dataclass(frozen=True)
@@ -59,31 +60,19 @@ class CodeParams:
 
     @property
     def eval_points(self) -> tuple[int, ...]:
-        return _eval_points(self.field, self.n)
+        return tuple(itertools.islice(iter_elements(self.field), self.n))
 
     def __repr__(self):
         return f"CodeParams(n={self.n}, k={self.k}, q={self.field.q}, N={self.N})"
 
 
-@lru_cache(maxsize=None)
-def _eval_points(field, n: int) -> tuple[int, ...]:
-    # 0, 1 = g^0, g, g^2, ...  without enumerating the whole field
-    pts = [0]
-    x = 1
-    g = field.generator
-    while len(pts) < n:
-        pts.append(x)
-        x = field.mul(x, g)
-    return tuple(pts)
-
-
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Full generator (n*alpha x k*alpha) plus the k x n systematic
-    per-group generator it is assembled from."""
+    """The k x n systematic per-group RS generator.  The full
+    n*alpha x k*alpha generator is this block repeated on the diagonal,
+    row-interleaved by node; encode applies it group-wise."""
 
     params: CodeParams
-    rows: tuple[tuple[int, ...], ...]
     rs: tuple[tuple[int, ...], ...]
 
 
@@ -91,37 +80,12 @@ class GeneratorMatrix:
 def _rs_rows(params: CodeParams) -> tuple[tuple[int, ...], ...]:
     """Systematic RS generator: row d, column i is L_d(pt_i), where L_d
     is the Lagrange basis polynomial through the first k points."""
-    f = params.field
-    pts = params.eval_points
-    k = params.k
-    out = []
-    for d in range(k):
-        denom = 1
-        for dd in range(k):
-            if dd != d:
-                denom = f.mul(denom, f.sub(pts[d], pts[dd]))
-        dinv = f.inv(denom)
-        row = []
-        for i in range(params.n):
-            numer = 1
-            for dd in range(k):
-                if dd != d:
-                    numer = f.mul(numer, f.sub(pts[i], pts[dd]))
-            row.append(f.mul(numer, dinv))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(zip(*_subset_weights(params, tuple(range(params.k)))))
 
 
 def make_code(n: int, k: int, field, N: int = 1) -> tuple[CodeParams, GeneratorMatrix]:
     params = CodeParams(n, k, field, N)
-    rs = _rs_rows(params)
-    alpha = params.alpha
-    rows = [[0] * (k * alpha) for _ in range(n * alpha)]
-    for i in range(n):
-        for g in range(alpha):
-            for d in range(k):
-                rows[i * alpha + g][g * k + d] = rs[d][i]
-    return params, GeneratorMatrix(params, tuple(map(tuple, rows)), rs)
+    return params, GeneratorMatrix(params, _rs_rows(params))
 
 
 def node_rows(params: CodeParams, i: int) -> range:
@@ -134,7 +98,8 @@ def node_rows(params: CodeParams, i: int) -> range:
 
 def encode(params: CodeParams, G: GeneratorMatrix, X) -> list[list[int]]:
     """Column-wise encoding: output row i*alpha+g is symbol i of group g's
-    RS codeword.  Equals G.rows @ X, computed group-wise."""
+    RS codeword: group g's k message rows times the n x k transpose
+    of G.rs."""
     a, k, n, N = params.alpha, params.k, params.n, params.N
     if len(X) != k * a or any(len(row) != N for row in X):
         raise ShapeMismatch(f"data must be {k * a} x {N}")
@@ -150,7 +115,8 @@ def encode(params: CodeParams, G: GeneratorMatrix, X) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def _subset_weights(params: CodeParams, positions: tuple[int, ...]):
     """n x k evaluation matrix: given codeword values at the k listed
-    positions, left-multiplying recovers the whole codeword."""
+    positions, left-multiplying recovers the whole codeword.  At
+    positions 0..k-1 it is the transposed systematic generator."""
     f = params.field
     pts = params.eval_points
     anchor = [pts[p] for p in positions]
@@ -189,16 +155,17 @@ def erasure_decode(params: CodeParams, G: GeneratorMatrix, nodes) -> list[list[i
     ids = sorted(items)
     anchors, extras = ids[:k], ids[k:]
     W = _subset_weights(params, tuple(i - 1 for i in anchors))
+    # message rows first, then the rows that predict the extra nodes
+    rows = W[:k] + tuple(W[i - 1] for i in extras)
     X = [None] * (k * a)
     for g in range(a):
-        cw = mat_mul(params.field, W, [items[i][g] for i in anchors])
-        for i in extras:
-            if cw[i - 1] != list(items[i][g]):
+        cw = mat_mul(params.field, rows, [items[i][g] for i in anchors])
+        for i, got in zip(extras, cw[k:]):
+            if got != list(items[i][g]):
                 raise SingularSystem(
                     f"node {i} disagrees with interpolation in group {g}"
                 )
-        for d in range(k):
-            X[g * k + d] = cw[d]
+        X[g * k:(g + 1) * k] = cw[:k]
     return X
 
 
@@ -220,11 +187,11 @@ def decode_codeword(params: CodeParams, word, max_errors: int | None = None) -> 
 
     For each candidate error set (smallest first) the word is
     re-interpolated from the first k surviving positions and checked
-    against every survivor.  Any codeword within distance t1 is unique
-    (2*t1 < n-k+1), so the first hit is the minimum-distance answer; if
-    no subset works the word is undecodable.
+    against every further survivor.  Any codeword within distance t1 is
+    unique (2*t1 < n-k+1), so the first hit is the minimum-distance
+    answer; if no subset works the word is undecodable.
     """
-    n, k = params.n, params.k
+    n, k, f = params.n, params.k, params.field
     if len(word) != n:
         raise ShapeMismatch(f"received word must have {n} symbols")
     t = params.t1 if max_errors is None else min(max_errors, params.t1)
@@ -235,20 +202,15 @@ def decode_codeword(params: CodeParams, word, max_errors: int | None = None) -> 
             anchors = tuple(keep[:k])
             W = _subset_weights(params, anchors)
             vals = [word[p] for p in anchors]
-            cand = [dot_row(params.field, row, vals) for row in W]
-            if all(cand[p] == word[p] for p in keep):
-                errs = frozenset(p for p in range(n) if cand[p] != word[p])
+            if all(dot(f, W[p], vals) == word[p] for p in keep[k:]):
+                # survivors agree with the interpolation, so only the
+                # erased positions can differ from the received word
+                cand = list(word)
+                for p in erased:
+                    cand[p] = dot(f, W[p], vals)
+                errs = frozenset(p for p in erased if cand[p] != word[p])
                 return DecodeOutcome(True, tuple(cand), tuple(cand[:k]), errs)
     return _UNDECODABLE
-
-
-def dot_row(field, row, vals) -> int:
-    if field.s == 1:
-        return sum(a * b for a, b in zip(row, vals)) % field.p
-    acc = 0
-    for a, b in zip(row, vals):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
 
 
 @dataclass(frozen=True)

@@ -170,9 +170,8 @@ def _prg_table(q: int, m: int, N: int):
     return _prg_tables[key]
 
 
-def exact_bias(q: int, m: int, N: int, beta, c: int = 0) -> Fraction:
-    """Exact bias of the linear test sum(beta_i r_i) + c over all seeds:
-    (q-1) P[test = 0] - P[test != 0]."""
+def _zero_count(q: int, m: int, N: int, beta, c: int) -> tuple[int, int]:
+    """(seeds where sum(beta_i r_i) + c = 0, number of seeds)."""
     if len(beta) != N or not any(beta):
         raise ValueError("beta must be a nonzero length-N sequence")
     fld = field_from_order(q)
@@ -184,22 +183,19 @@ def exact_bias(q: int, m: int, N: int, beta, c: int = 0) -> Fraction:
             acc = fld.add(acc, fld.mul(b, v))
         total += 1
         zeros += acc == 0
+    return zeros, total
+
+
+def exact_bias(q: int, m: int, N: int, beta, c: int = 0) -> Fraction:
+    """Exact bias of the linear test sum(beta_i r_i) + c over all seeds:
+    (q-1) P[test = 0] - P[test != 0]."""
+    zeros, total = _zero_count(q, m, N, beta, c)
     return Fraction((q - 1) * zeros - (total - zeros), total)
 
 
 def exact_zero_prob(q: int, m: int, N: int, beta) -> Fraction:
     """Exact P[sum(beta_i r_i) = 0] over all seeds."""
-    if len(beta) != N or not any(beta):
-        raise ValueError("beta must be a nonzero length-N sequence")
-    fld = field_from_order(q)
-    total = 0
-    zeros = 0
-    for r in _prg_table(q, m, N):
-        acc = 0
-        for b, v in zip(beta, r):
-            acc = fld.add(acc, fld.mul(b, v))
-        total += 1
-        zeros += acc == 0
+    zeros, total = _zero_count(q, m, N, beta, 0)
     return Fraction(zeros, total)
 
 

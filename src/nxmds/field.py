@@ -176,23 +176,14 @@ class ExtensionField:
 
         The map is base-field-linear and bijective onto base^m.
         """
-        self.check(a)
-        b = self.base.q
-        out = []
-        for _ in range(self.m):
-            a, d = divmod(a, b)
-            out.append(d)
-        return tuple(out)
+        return tuple(self._digits(self.check(a)))
 
     def from_coords(self, v) -> int:
         if len(v) != self.m:
             raise FieldMismatch(f"need {self.m} coordinates, got {len(v)}")
-        b = self.base.q
-        a = 0
-        for d in reversed(v):
+        for d in v:
             self.base.check(d)
-            a = a * b + d
-        return a
+        return self._undigits(v)
 
     def _digits(self, a: int) -> list[int]:
         b = self.base.q
@@ -423,17 +414,17 @@ class FieldSpec:
         return make_field(self.p, self.s)
 
 
-def spec_of(field) -> FieldSpec:
-    return FieldSpec(field.p, field.s)
+def iter_elements(field):
+    """Canonical element order, lazily: 0, then powers of the canonical
+    generator starting from g^0 = 1.  Yields each element exactly once."""
+    yield 0
+    g = field.generator
+    x = 1
+    for _ in range(field.q - 1):
+        yield x
+        x = field.mul(x, g)
 
 
 def element_enumeration(field) -> list[int]:
-    """Canonical element order: 0, then powers of the canonical generator
-    starting from g^0 = 1.  Covers each element exactly once."""
-    g = field.generator
-    out = [0]
-    x = 1
-    for _ in range(field.q - 1):
-        out.append(x)
-        x = field.mul(x, g)
-    return out
+    """All q elements in the canonical order of iter_elements."""
+    return list(iter_elements(field))

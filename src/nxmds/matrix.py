@@ -50,10 +50,6 @@ def mat_sub(field, a, b) -> list[list[int]]:
     return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
-
-
 def row_rank(field, rows) -> int:
     """Rank by fraction-free-ish Gaussian elimination (copies its input)."""
     m = [list(r) for r in rows]

@@ -30,7 +30,7 @@ from .errors import (
     NoGroundTruth,
     ShapeMismatch,
 )
-from .matrix import mat_mul, row_rank
+from .matrix import mat_add, mat_mul, row_rank
 
 MODELS = ("single-cell", "random-dense", "rank-1", "rank-f", "null-against-vector")
 
@@ -128,7 +128,6 @@ def corrupt(state: SystemState, plan: ErrorPlan) -> SystemState:
     """Apply the plan: each planned node stores clean slice + E_i."""
     params = state.params
     a, N = params.alpha, params.N
-    f = params.field
     if state._clean is None:
         raise NoGroundTruth("corruption needs the clean encoding")
     for i, rows in plan.entries:
@@ -137,11 +136,7 @@ def corrupt(state: SystemState, plan: ErrorPlan) -> SystemState:
         if len(rows) != a or any(len(row) != N for row in rows):
             raise ShapeMismatch(f"error matrix for node {i} must be {a} x {N}")
     for i, rows in plan.entries:
-        clean = state._clean[i - 1]
-        state.nodes[i - 1] = [
-            [f.add(c, e) for c, e in zip(crow, erow)]
-            for crow, erow in zip(clean, rows)
-        ]
+        state.nodes[i - 1] = mat_add(params.field, state._clean[i - 1], rows)
     state.plans.append(plan)
     return state
 

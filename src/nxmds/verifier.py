@@ -11,7 +11,7 @@ vector (the protocol's documented failure event).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .code import CodeParams, GeneratorMatrix, encode, erasure_decode, hash_word_decode
 from .errors import (
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .field import FieldSpec, next_prime_power, symbol_bits
 from .hashing import HashVector, node_hash, seed_bit_count
-from .matrix import mat_vec
 from .storage import SystemState
 
 STATUS_CLEAN = "clean"
@@ -87,9 +86,9 @@ def collect_hashes(state: SystemState, r, *, liars=None,
 def verify(H: HashVector, params: CodeParams, G: GeneratorMatrix) -> VerificationReport:
     """Decode the hash vector and flag the error positions.
 
-    The decoded message-hash is re-encoded through the full generator
-    matrix and compared against the group-wise corrected codeword; the
-    two routes must agree or the code construction is broken.
+    The decoded message-hash is re-encoded as a one-column data matrix
+    and compared against the group-wise corrected codeword; the two
+    routes must agree or the code construction is broken.
     """
     out = hash_word_decode(params, H.symbols)
     hash_bits = params.n * params.alpha * symbol_bits(params.field.q)
@@ -97,8 +96,8 @@ def verify(H: HashVector, params: CodeParams, G: GeneratorMatrix) -> Verificatio
         return VerificationReport(
             STATUS_UNDECODABLE, frozenset(), hash_bits, H.seed_bits, H.provenance
         )
-    re_encoded = mat_vec(params.field, G.rows, list(out.message_hash))
-    if re_encoded != list(out.codeword):
+    column = encode(replace(params, N=1), G, [[v] for v in out.message_hash])
+    if [row[0] for row in column] != list(out.codeword):
         raise SingularSystem("re-encoded message-hash disagrees with decoder")
     status = STATUS_LOCATED if out.error_nodes else STATUS_CLEAN
     return VerificationReport(

@@ -72,3 +72,15 @@ def lagrange_values(field, known, xs):
             acc = field.add(acc, term)
         out.append(acc)
     return out
+
+
+def dense_generator(params, G):
+    """The full n*alpha x k*alpha generator: coded row i*alpha + g holds
+    G.rs column i in the k columns of group g and zeros elsewhere."""
+    k, a = params.k, params.alpha
+    rows = [[0] * (k * a) for _ in range(params.n * a)]
+    for i in range(params.n):
+        for g in range(a):
+            for d in range(k):
+                rows[i * a + g][g * k + d] = G.rs[d][i]
+    return tuple(map(tuple, rows))

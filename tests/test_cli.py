@@ -84,6 +84,19 @@ def test_corrupt_then_verify_locates(tmp_path, capsys):
     assert report_value(text, "flagged") == bad
 
 
+def test_corrupt_output_repeats(tmp_path, capsys):
+    # the report states only what the seed determines, so identical
+    # directories corrupted with one seed print identical bytes
+    texts = []
+    for name in ("a", "b"):
+        out = pipeline(tmp_path / name, capsys)
+        code, text, _ = run(capsys, "corrupt", str(out), "--model", "rank1:1",
+                            "--seed", "2")
+        assert code == 0
+        texts.append(text)
+    assert texts[0] == texts[1]
+
+
 def test_clean_verify_exits_zero(tmp_path, capsys):
     out = pipeline(tmp_path, capsys)
     run(capsys, "hash", str(out), "--seed", "3")
@@ -158,6 +171,57 @@ def test_audit_deterministic(capsys):
     code_a, text_a, _ = run(capsys, *args)
     code_b, text_b, _ = run(capsys, *args)
     assert (code_a, text_a) == (code_b, text_b)
+
+
+# Fixed-seed outputs pinned byte for byte: Monte Carlo failure counts
+# and estimates, flagged node sets and bit accounting must not drift
+# when the implementation underneath them changes.
+GOLDEN = [
+    (("experiment", "--n", "6", "--k", "2", "--q", "17,257", "--N", "8",
+      "--model", "rank1:2", "--trials", "1500", "--seed", "7"), 0, (
+        'n,k,q,N,model,t,kind,trials,failures,estimate,sigma,lo,hi,bound,result\n'
+        '6,2,17,8,rank-1,2,true-random,1500,165,0.11,0.008078778785600375,0.08576366364319887,0.13423633635680113,0.11764705882352941,pass\n'
+        '6,2,257,8,rank-1,2,true-random,1500,11,0.007333333333333333,0.0022029609703844133,0.0007244504221800936,0.013942216244486574,0.007782101167315175,pass\n'
+    )),
+    (("audit", "--n", "12", "--k", "6", "--q", "257", "--N", "64",
+      "--seed", "9", "--corrupt", "rank1:3"), 2, (
+        'command: audit\n'
+        'params: CodeParams(n=12, k=6, q=257, N=64)\n'
+        'mode: true-random\n'
+        'status: errors-located\n'
+        'flagged: 4 6 7\n'
+        'true-errors: 4 6 7\n'
+        'flagged-subset-of-true: yes\n'
+        'data-bits: 20736\n'
+        'hash-bits: 648\n'
+        'naive-bits: 41472\n'
+        'seed-bits: 576\n'
+        'seed-distribution-bits: 6912\n'
+        'seed: 9\n'
+    )),
+    (("audit", "--n", "9", "--k", "5", "--q", "9", "--N", "4", "--seed", "2",
+      "--corrupt", "dense:2", "--mode", "pseudorandom"), 2, (
+        'command: audit\n'
+        'params: CodeParams(n=9, k=5, q=9, N=4)\n'
+        'mode: pseudorandom\n'
+        'status: errors-located\n'
+        'flagged: 8 9\n'
+        'true-errors: 8 9\n'
+        'flagged-subset-of-true: yes\n'
+        'data-bits: 320\n'
+        'hash-bits: 144\n'
+        'naive-bits: 576\n'
+        'seed-bits: 16\n'
+        'seed-distribution-bits: 144\n'
+        'seed: 2\n'
+    )),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,stdout", GOLDEN,
+                         ids=["experiment", "audit-rank1", "audit-prg"])
+def test_golden_output(capsys, argv, exit_code, stdout):
+    assert run(capsys, *argv)[:2] == (exit_code, stdout)
 
 
 def test_hash_mode_is_self_describing(tmp_path, capsys):

@@ -96,11 +96,12 @@ def test_rs_rows_match_lagrange_oracle():
 def test_generator_block_structure():
     params, G = make_code(6, 3, F7, 2)
     a, k = params.alpha, params.k
-    assert len(G.rows) == params.n * a
-    assert all(len(r) == k * a for r in G.rows)
+    dense = oracles.dense_generator(params, G)
+    assert len(dense) == params.n * a
+    assert all(len(r) == k * a for r in dense)
     for i in range(params.n):
         for g in range(a):
-            row = G.rows[i * a + g]
+            row = dense[i * a + g]
             for c in range(k * a):
                 if c // k != g:
                     assert row[c] == 0
@@ -110,10 +111,11 @@ def test_generator_block_structure():
 def test_node_level_mds(n, k, f):
     params, G = make_code(n, k, f)
     a = params.alpha
+    dense = oracles.dense_generator(params, G)
     for subset in itertools.combinations(range(1, n + 1), k):
         stacked = []
         for i in subset:
-            stacked.extend(G.rows[(i - 1) * a:i * a])
+            stacked.extend(dense[(i - 1) * a:i * a])
         assert row_rank(f, stacked) == k * a
 
 
@@ -123,7 +125,8 @@ def test_encode_matches_full_matrix_product():
     X = random_matrix(rng, params.k * params.alpha, params.N, 7)
     C = encode(params, G, X)
     cols = list(zip(*X))
-    expect_cols = [mat_vec(F7, G.rows, list(c)) for c in cols]
+    dense = oracles.dense_generator(params, G)
+    expect_cols = [mat_vec(F7, dense, list(c)) for c in cols]
     assert C == [list(r) for r in zip(*expect_cols)]
 
 
@@ -206,7 +209,7 @@ def test_erasure_decode_errors():
 def test_replication_code():
     f2 = make_field(2)
     params, G = make_code(2, 1, f2, 1)
-    assert G.rows == ((1,), (1,))
+    assert oracles.dense_generator(params, G) == ((1,), (1,))
     assert encode(params, G, [[1]]) == [[1], [1]]
 
 
@@ -231,16 +234,54 @@ def test_decode_single_errors_exhaustive():
                 assert out.errors == {pos}
 
 
-def test_decode_agrees_with_min_distance_oracle():
-    # includes garbage beyond the decoding radius
-    params, _ = make_code(4, 2, F5)
-    for word in itertools.product(range(5), repeat=4):
+def oracle_words(params, rng):
+    """Every error support of weight <= t1 (nonzero error values drawn at
+    random) on three codewords, then 120 words mostly beyond the radius:
+    codewords hit in t1 + 1 positions, and uniformly random words."""
+    f, n, t = params.field, params.n, params.t1
+    book = oracles.all_codewords(params)
+
+    def hit(cw, support):
+        word = list(cw)
+        for p in support:
+            word[p] = f.add(word[p], int(rng.integers(1, f.q)))
+        return tuple(word)
+
+    for i in rng.choice(len(book), size=3, replace=False):
+        for e in range(t + 1):
+            for support in itertools.combinations(range(n), e):
+                yield hit(book[i], support)
+    for _ in range(60):
+        yield hit(book[int(rng.integers(len(book)))],
+                  rng.choice(n, size=t + 1, replace=False))
+        yield tuple(int(v) for v in rng.integers(0, f.q, size=n))
+
+
+def check_against_oracle(params, words) -> int:
+    """Decode each word; returns how many the oracle finds undecodable."""
+    undecodable = 0
+    for word in words:
         out = decode_codeword(params, word)
         expect = oracles.min_distance_decode(params, word, params.t1)
         if expect is None:
             assert not out.ok
+            undecodable += 1
         else:
             assert out.ok and out.codeword == expect
+            assert out.message == expect[:params.k]
+            assert out.errors == {p for p, v in enumerate(word) if v != expect[p]}
+    return undecodable
+
+
+def test_decode_agrees_with_min_distance_oracle():
+    # every word at t1 = 1, garbage beyond the decoding radius included
+    params, _ = make_code(4, 2, F5)
+    assert check_against_oracle(params, itertools.product(range(5), repeat=4))
+    # t1 = 2 over a prime field and over GF(2^3), and t1 = 3
+    rng = np.random.default_rng(29)
+    for n, k, f in [(6, 2, F7), (7, 3, make_field(2, 3)), (8, 2, make_field(11))]:
+        params, _ = make_code(n, k, f)
+        assert check_against_oracle(params, oracle_words(params, rng))
 
 
 def test_decode_two_error_radius():

@@ -80,7 +80,7 @@ def test_extension_field_header_roundtrip():
     )
     rebuilt, G = container.code_for(back_header)
     assert rebuilt == params
-    assert G.rows == make_code(6, 3, fld, 2)[1].rows
+    assert G == make_code(6, 3, fld, 2)[1]
 
 
 def test_code_for_rejects_noncanonical_modulus():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from nxmds import clock
 from nxmds.code import make_code
 from nxmds.errors import (
@@ -42,7 +44,7 @@ def test_collect_hashes_honest_is_codeword():
     r = draw_random_vector(3, F17, rng)
     H = collect_hashes(state, r)
     Xr = mat_vec(F17, state.truth, list(r.symbols))
-    assert list(H.symbols) == mat_vec(F17, G.rows, Xr)
+    assert list(H.symbols) == mat_vec(F17, oracles.dense_generator(params, G), Xr)
     assert H.provenance == "true-random"
 
 
