@@ -36,6 +36,7 @@ from .storage import (
     from_slices,
     ingest,
     make_system,
+    random_data,
     sample_error_plan,
     true_error_set,
 )
@@ -151,10 +152,7 @@ def cmd_encode(args) -> int:
             X = ingest(fh.read(), params)
         source = args.data
     else:
-        rng = _rng(args.seed, LABEL_DATA)
-        X = [[int(v) for v in row]
-             for row in rng.integers(0, field.q,
-                                     size=(params.k * params.alpha, params.N))]
+        X = random_data(params, _rng(args.seed, LABEL_DATA))
         source = f"random (seed {args.seed})"
     state = make_system(params, G, X)
     os.makedirs(args.out, exist_ok=True)
@@ -320,10 +318,7 @@ def cmd_audit(args) -> int:
 
     field = field_from_order(args.q)
     params, G = make_code(args.n, args.k, field, args.N)
-    rng = _rng(args.seed, LABEL_DATA)
-    X = [[int(v) for v in row]
-         for row in rng.integers(0, field.q,
-                                 size=(params.k * params.alpha, params.N))]
+    X = random_data(params, _rng(args.seed, LABEL_DATA))
     state = make_system(params, G, X)
     if args.corrupt is not None:
         model, t = _parse_model(args.corrupt)

@@ -99,14 +99,14 @@ def node_rows(params: CodeParams, i: int) -> range:
 def encode(params: CodeParams, G: GeneratorMatrix, X) -> list[list[int]]:
     """Column-wise encoding: output row i*alpha+g is symbol i of group g's
     RS codeword: group g's k message rows times the n x k transpose
-    of G.rs."""
+    of G.rs (the cached interpolation weights at anchors 0..k-1)."""
     a, k, n, N = params.alpha, params.k, params.n, params.N
     if len(X) != k * a or any(len(row) != N for row in X):
         raise ShapeMismatch(f"data must be {k * a} x {N}")
-    st = list(zip(*G.rs))  # n x k
+    W = _subset_weights(params, tuple(range(k)))  # n x k
     C = [None] * (n * a)
     for g in range(a):
-        cw_rows = mat_mul(params.field, st, X[g * k:(g + 1) * k])
+        cw_rows = mat_mul(params.field, W, X[g * k:(g + 1) * k])
         for i in range(n):
             C[i * a + g] = cw_rows[i]
     return C
@@ -135,16 +135,17 @@ def _subset_weights(params: CodeParams, positions: tuple[int, ...]):
     return tuple(W)
 
 
-def erasure_decode(params: CodeParams, G: GeneratorMatrix, nodes) -> list[list[int]]:
-    """Recover X from >= k node contents {node id: alpha x N matrix}.
+def interpolate(params: CodeParams, nodes, targets) -> list[list[list[int]]]:
+    """Blocks (alpha x N each) of the target node ids, rebuilt from >= k
+    node contents {node id: alpha x N matrix}.
 
-    The first k nodes (by id) anchor the interpolation; any further
-    nodes are cross-checked against the interpolated codeword, and a
+    The first k nodes (by id) anchor the interpolation, group by group;
+    every further node is cross-checked against its prediction, and a
     mismatch raises SingularSystem (corrupted input).
     """
-    items = dict(nodes)
+    items, targets = dict(nodes), list(targets)
     a, k, N = params.alpha, params.k, params.N
-    for i in items:
+    for i in [*items, *targets]:
         if not 1 <= i <= params.n:
             raise BadNodeId(f"node id {i} outside 1..{params.n}")
     if len(items) < k:
@@ -155,18 +156,30 @@ def erasure_decode(params: CodeParams, G: GeneratorMatrix, nodes) -> list[list[i
     ids = sorted(items)
     anchors, extras = ids[:k], ids[k:]
     W = _subset_weights(params, tuple(i - 1 for i in anchors))
-    # message rows first, then the rows that predict the extra nodes
-    rows = W[:k] + tuple(W[i - 1] for i in extras)
-    X = [None] * (k * a)
+    # the rows that produce the targets, then those that predict the extras
+    rows = tuple(W[i - 1] for i in targets + extras)
+    blocks = [[None] * a for _ in targets]
     for g in range(a):
         cw = mat_mul(params.field, rows, [items[i][g] for i in anchors])
-        for i, got in zip(extras, cw[k:]):
+        for i, got in zip(extras, cw[len(targets):]):
             if got != list(items[i][g]):
                 raise SingularSystem(
                     f"node {i} disagrees with interpolation in group {g}"
                 )
-        X[g * k:(g + 1) * k] = cw[:k]
-    return X
+        for block, row in zip(blocks, cw):
+            block[g] = row
+    return blocks
+
+
+def erasure_decode(params: CodeParams, G: GeneratorMatrix, nodes) -> list[list[int]]:
+    """Recover X from >= k node contents {node id: alpha x N matrix}.
+
+    The code is systematic, so row g*k + d of X is group g's row of
+    node d+1 as interpolate rebuilds it; a node beyond the first k that
+    disagrees raises SingularSystem.
+    """
+    blocks = interpolate(params, nodes, range(1, params.k + 1))
+    return [block[g] for g in range(params.alpha) for block in blocks]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ files stay inspectable with a hex dump.  The bit-exact figures live in
 the accounting report instead.
 """
 
+import os
 from dataclasses import dataclass
 
 from .code import CodeParams, make_code
@@ -160,8 +161,18 @@ def deserialize_matrix(data: bytes) -> tuple[ContainerHeader, list[list[int]]]:
 
 
 def write_matrix(path, header: ContainerHeader, rows) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_matrix(header, rows))
+    """Write to a temporary file beside `path`, then rename it over
+    `path`: a failed write leaves any previous file as it was."""
+    data = serialize_matrix(header, rows)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_matrix(path) -> tuple[ContainerHeader, list[list[int]]]:

@@ -31,7 +31,14 @@ from .hashing import (
     prg_expand,
 )
 from .matrix import dot
-from .storage import ErrorPlan, corrupt, make_system, sample_error_plan, true_error_set
+from .storage import (
+    ErrorPlan,
+    corrupt,
+    make_system,
+    random_data,
+    sample_error_plan,
+    true_error_set,
+)
 from .verifier import collect_hashes, verify
 
 ENUM_LIMIT = 10 ** 7
@@ -101,12 +108,10 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
         raise ValueError("trials must be >= 1")
     if not 0 <= t <= params.t1:
         raise ValueError(f"t={t} outside 0..t1={params.t1}")
-    q = params.field.q
     data_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_DATA,))
     )
-    X = [[int(v) for v in row]
-         for row in data_rng.integers(0, q, size=(params.k * params.alpha, params.N))]
+    X = random_data(params, data_rng)
     _, G = make_code(params.n, params.k, params.field, params.N)
     state = make_system(params, G, X)
     failures = 0
@@ -260,34 +265,9 @@ class CountingField:
         self.base = base
         self.count = 0
 
-    @property
-    def p(self):
-        return self.base.p
-
-    @property
-    def s(self):
-        return self.base.s
-
-    @property
-    def q(self):
-        return self.base.q
-
-    @property
-    def modulus(self):
-        return self.base.modulus
-
-    @property
-    def generator(self):
-        return self.base.generator
-
-    def check(self, a):
-        return self.base.check(a)
-
-    def coeffs(self, a):
-        return self.base.coeffs(a)
-
-    def elements(self):
-        return self.base.elements()
+    def __getattr__(self, name):
+        # only reached for names not defined here: p, q, modulus, check, ...
+        return getattr(self.base, name)
 
     def add(self, a, b):
         self.count += 1

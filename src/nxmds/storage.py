@@ -152,6 +152,12 @@ def true_error_set(state: SystemState) -> frozenset[int]:
     )
 
 
+def random_data(params: CodeParams, rng):
+    """Uniform k*alpha x N data matrix drawn from a numpy Generator."""
+    rows = rng.integers(0, params.field.q, size=(params.k * params.alpha, params.N))
+    return [[int(v) for v in row] for row in rows]
+
+
 # -- byte packing ----------------------------------------------------------
 
 def symbol_capacity_bits(params: CodeParams) -> int:

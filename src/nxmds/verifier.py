@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .code import CodeParams, GeneratorMatrix, encode, erasure_decode, hash_word_decode
+from .code import CodeParams, GeneratorMatrix, encode, hash_word_decode, interpolate
 from .errors import (
     BadNodeId,
     CommitmentViolation,
@@ -50,8 +50,7 @@ class AuditBudget:
     seed_distribution_bits: int
 
 
-def collect_hashes(state: SystemState, r, *, liars=None,
-                   enforce_commitment: bool = True) -> HashVector:
+def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
     """Ask every node for its hash block.
 
     Corrupted nodes hash their corrupted content; `liars` can override
@@ -60,13 +59,11 @@ def collect_hashes(state: SystemState, r, *, liars=None,
     not know r when errors are committed, and a plan stamped after r was
     drawn is a protocol violation.
     """
-    if enforce_commitment:
-        for plan in state.plans:
-            if plan.committed_at > r.drawn_at:
-                raise CommitmentViolation(
-                    "error plan was committed after the projection vector "
-                    "was drawn"
-                )
+    for plan in state.plans:
+        if plan.committed_at > r.drawn_at:
+            raise CommitmentViolation(
+                "error plan was committed after the projection vector was drawn"
+            )
     params = state.params
     liars = dict(liars) if liars else {}
     for i, block in liars.items():
@@ -106,15 +103,14 @@ def verify(H: HashVector, params: CodeParams, G: GeneratorMatrix) -> Verificatio
 
 
 def repair_node(state: SystemState, target: int, helpers) -> list[list[int]]:
-    """Rebuild a node's content from >= k helper nodes by decoding and
-    re-encoding.
+    """Rebuild a node's content from >= k helper nodes by interpolation.
 
-    Helper corruption is detectable only with more than k helpers (any k
-    blocks are consistent with some data); when redundancy is present,
-    both the interpolation cross-check and the re-encode comparison must
-    pass or CorruptHelper is raised.
+    The first k helpers anchor it.  Helper corruption is detectable only
+    with more than k helpers (any k blocks are consistent with some
+    data); every further helper is cross-checked against the
+    interpolation, and a mismatch raises CorruptHelper.
     """
-    params, G = state.params, state.G
+    params = state.params
     if not 1 <= target <= params.n:
         raise BadNodeId(f"node id {target} outside 1..{params.n}")
     helpers = sorted(set(helpers))
@@ -122,17 +118,11 @@ def repair_node(state: SystemState, target: int, helpers) -> list[list[int]]:
         raise ValueError(f"target node {target} cannot be its own helper")
     if len(helpers) < params.k:
         raise TooFewHelpers(f"need {params.k} helpers, got {len(helpers)}")
-    contents = {h: state.content(h) for h in helpers}
     try:
-        X = erasure_decode(params, G, contents)
+        (block,) = interpolate(params, {h: state.content(h) for h in helpers}, [target])
     except SingularSystem as exc:
         raise CorruptHelper(str(exc)) from exc
-    C = encode(params, G, X)
-    a = params.alpha
-    for h in helpers:
-        if [C[(h - 1) * a + j] for j in range(a)] != [list(r) for r in contents[h]]:
-            raise CorruptHelper(f"node {h} fails the re-encode check")
-    return [C[(target - 1) * a + j] for j in range(a)]
+    return block
 
 
 def accounting(params: CodeParams, kind: str = "true-random") -> AuditBudget:

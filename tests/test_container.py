@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,3 +155,35 @@ def test_file_helpers(tmp_path):
     container.write_matrix(path, header, rows)
     back_header, back = container.read_matrix(path)
     assert (back_header, back) == (header, rows)
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    params, _ = make_code(4, 2, F5, 3)
+    header = container.header_for(params, node_id=3)
+    path = tmp_path / "node_3.nxm"
+    container.write_matrix(path, header, [[1, 2, 3], [4, 0, 1]])
+    before = path.read_bytes()
+
+    class HalfWriter:
+        """File whose write stores half the bytes, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(container, "open",
+                        lambda *a, **kw: HalfWriter(open(*a, **kw)), raising=False)
+    with pytest.raises(OSError):
+        container.write_matrix(path, header, [[0, 0, 0], [2, 2, 2]])
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["node_3.nxm"]

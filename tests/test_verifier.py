@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nxmds.field import FieldSpec, make_field
 from nxmds.hashing import RandomVector, draw_random_vector, make_prg_seed, prg_expand
 from nxmds.matrix import mat_vec
 from nxmds.storage import (
+    ErrorPlan,
     corrupt,
     make_system,
     sample_error_plan,
@@ -54,7 +57,6 @@ def test_commitment_enforced():
     corrupt(state, sample_error_plan("single-cell", 1, rng, params))
     with pytest.raises(CommitmentViolation):
         collect_hashes(state, r)
-    collect_hashes(state, r, enforce_commitment=False)
     # the honest order passes
     state.restore()
     corrupt(state, sample_error_plan("single-cell", 1, rng, params))
@@ -170,6 +172,48 @@ def test_repair_detects_corrupt_helper():
     helpers = [i for i in range(1, 5) if i != target]  # includes bad, redundant
     with pytest.raises(CorruptHelper):
         repair_node(state, target, helpers)
+
+
+REPAIR_CASES = [(6, 3, make_field(7)), (7, 3, make_field(2, 3))]
+
+
+def corrupt_node(state, i, rng):
+    """Corrupt node i in every row (so in every group word)."""
+    params = state.params
+    E = [[1 + int(v) for v in rng.integers(0, params.field.q - 1, size=params.N)]
+         for _ in range(params.alpha)]
+    corrupt(state, ErrorPlan(((i, tuple(map(tuple, E))),), "random-dense"))
+
+
+@pytest.mark.parametrize("n,k,f", REPAIR_CASES)
+def test_repair_every_target_and_helper_set(n, k, f):
+    params, G, state, rng = build(n, k, f, N=2, seed=n)
+    for target in range(1, n + 1):
+        # the target's own (corrupted) content must play no part
+        corrupt_node(state, target, rng)
+        others = [i for i in range(1, n + 1) if i != target]
+        for size in (k, k + 1):
+            for helpers in itertools.combinations(others, size):
+                assert repair_node(state, target, helpers) == state._clean[target - 1]
+        state.restore()
+
+
+@pytest.mark.parametrize("n,k,f", REPAIR_CASES)
+def test_repair_rejects_one_corrupt_helper(n, k, f):
+    params, G, state, rng = build(n, k, f, N=2, seed=n)
+    for bad in range(1, n + 1):
+        corrupt_node(state, bad, rng)
+        for target in range(1, n + 1):
+            if target == bad:
+                continue
+            rest = [i for i in range(1, n + 1) if i not in (target, bad)]
+            for size in range(k, len(rest) + 1):
+                for others in itertools.combinations(rest, size):
+                    helpers = sorted((bad, *others))
+                    # bad anchors the interpolation when among the first k
+                    with pytest.raises(CorruptHelper):
+                        repair_node(state, target, helpers)
+        state.restore()
 
 
 def test_repair_argument_errors():
