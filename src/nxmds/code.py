@@ -27,7 +27,7 @@ from .errors import (
     TooFewNodes,
 )
 from .field import iter_elements
-from .matrix import dot, mat_mul
+from .matrix import dot, mat_mul, mat_vec
 
 
 @dataclass(frozen=True)
@@ -195,35 +195,106 @@ class DecodeOutcome:
 _UNDECODABLE = DecodeOutcome(False, None, None, None)
 
 
-def decode_codeword(params: CodeParams, word, max_errors: int | None = None) -> DecodeOutcome:
-    """Locate up to t1 symbol errors by brute force over erasure subsets.
+def _strip(a: list[int]) -> list[int]:
+    """Drop trailing zero coefficients in place; the zero polynomial is []."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
-    For each candidate error set (smallest first) the word is
-    re-interpolated from the first k surviving positions and checked
-    against every further survivor.  Any codeword within distance t1 is
-    unique (2*t1 < n-k+1), so the first hit is the minimum-distance
-    answer; if no subset works the word is undecodable.
+
+def _poly_divmod(f, a, b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b != 0.  Polynomials are coefficient
+    lists in ascending degree without trailing zeros."""
+    r = list(a)
+    *low, lead = b
+    db = len(low)
+    inv = f.inv(lead)
+    q = [0] * max(len(r) - db, 0)
+    for i in reversed(range(len(q))):
+        c = q[i] = f.mul(r[i + db], inv)
+        for j, x in enumerate(low, i):
+            r[j] = (r[j] - c * x) % f.p if f.s == 1 else f.sub(r[j], f.mul(c, x))
+    return q, _strip(r[:db])
+
+
+def _poly_sub_mul(f, a, q, b) -> list[int]:
+    """a - q*b."""
+    out = list(a) + [0] * max(len(q) + len(b) - 1 - len(a), 0)
+    for i, c in enumerate(q):
+        for j, x in enumerate(b, i):
+            out[j] = (out[j] - c * x) % f.p if f.s == 1 else f.sub(out[j], f.mul(c, x))
+    return _strip(out)
+
+
+@lru_cache(maxsize=None)
+def _decoder_tables(params: CodeParams):
+    """What decode_codeword needs besides the word: the systematic
+    weights of positions k..n-1 (_subset_weights at anchors 0..k-1), and
+    Gao's fixed polynomials: g0 = prod (x - a_i) over the evaluation
+    points, the n x n interpolation matrix (row j maps a word to
+    coefficient j of the polynomial of degree < n through it) and the
+    n x k evaluation rows (1, a_i, ..., a_i^(k-1))."""
+    f, k, pts = params.field, params.k, params.eval_points
+    g0 = [1]
+    for a in pts:
+        g0 = _poly_sub_mul(f, [0] + g0, [a], g0)
+    columns = []
+    for a in pts:
+        # Lagrange basis polynomial of a: g0 / (x - a), scaled to 1 at a
+        basis, _ = _poly_divmod(f, g0, [f.neg(a), 1])
+        den = 1
+        for b in pts:
+            if b != a:
+                den = f.mul(den, f.sub(a, b))
+        inv = f.inv(den)
+        columns.append([f.mul(inv, c) for c in basis])
+    interp = tuple(zip(*columns))
+    evals = tuple(tuple(f.pow(a, j) for j in range(k)) for a in pts)
+    checks = _subset_weights(params, tuple(range(k)))[k:]
+    return checks, tuple(g0), interp, evals
+
+
+def decode_codeword(params: CodeParams, word) -> DecodeOutcome:
+    """Bounded-distance decoding: the unique codeword within distance t1
+    of the word, or failure.
+
+    A codeword within t1 is unique (2*t1 < n-k+1), so this is also the
+    minimum-distance answer whenever one exists within the radius.  A
+    word that agrees with the systematic interpolation from its first k
+    symbols is returned as is, at the cost of n-k dot products.  Any
+    other word goes through Gao's decoder (S. Gao, "A new algorithm for
+    decoding Reed-Solomon codes", 2003): interpolate g1 through the word,
+    run the extended Euclidean algorithm on g0 = prod (x - a_i) and g1
+    until the remainder g = u*g0 + v*g1 has degree < (n+k)/2, and divide
+    g by v.  With at most t1 errors the division is exact and the
+    quotient is the message polynomial.  The result is accepted only
+    when the remainder is 0, the quotient has degree < k and its
+    codeword differs from the word in at most t1 positions.  That costs
+    O(n^2) field operations per word.
     """
     n, k, f = params.n, params.k, params.field
     if len(word) != n:
         raise ShapeMismatch(f"received word must have {n} symbols")
-    t = params.t1 if max_errors is None else min(max_errors, params.t1)
     word = tuple(word)
-    for e in range(t + 1):
-        for erased in itertools.combinations(range(n), e):
-            keep = [p for p in range(n) if p not in erased]
-            anchors = tuple(keep[:k])
-            W = _subset_weights(params, anchors)
-            vals = [word[p] for p in anchors]
-            if all(dot(f, W[p], vals) == word[p] for p in keep[k:]):
-                # survivors agree with the interpolation, so only the
-                # erased positions can differ from the received word
-                cand = list(word)
-                for p in erased:
-                    cand[p] = dot(f, W[p], vals)
-                errs = frozenset(p for p in erased if cand[p] != word[p])
-                return DecodeOutcome(True, tuple(cand), tuple(cand[:k]), errs)
-    return _UNDECODABLE
+    head = word[:k]
+    checks, g0, interp, evals = _decoder_tables(params)
+    if all(dot(f, row, head) == v for row, v in zip(checks, word[k:])):
+        return DecodeOutcome(True, word, head, frozenset())
+    r0, r1 = g0, _strip(mat_vec(f, interp, word))
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= n + k:  # deg r1 >= (n+k)/2
+        quot, rem = _poly_divmod(f, r0, r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, _poly_sub_mul(f, v0, quot, v1)
+    msg, rem = _poly_divmod(f, r1, v1)
+    if rem or len(msg) > k:
+        return _UNDECODABLE
+    msg += [0] * (k - len(msg))
+    cw = tuple(mat_vec(f, evals, msg))
+    errs = frozenset(p for p in range(n) if cw[p] != word[p])
+    if len(errs) > params.t1:
+        return _UNDECODABLE
+    return DecodeOutcome(True, cw, cw[:k], errs)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ final reduction.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import ShapeMismatch
 
 
@@ -18,7 +20,7 @@ def dot(field, u, v) -> int:
         raise ShapeMismatch(f"dot of lengths {len(u)} and {len(v)}")
     if field.s == 1:
         p = field.p
-        return sum(a * b for a, b in zip(u, v)) % p
+        return sum(map(operator.mul, u, v)) % p
     acc = 0
     for a, b in zip(u, v):
         acc = field.add(acc, field.mul(a, b))

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nxmds.code import (
     CodeParams,
+    DecodeOutcome,
     decode_codeword,
     encode,
     erasure_decode,
@@ -21,7 +24,7 @@ from nxmds.errors import (
     TooFewNodes,
 )
 from nxmds.field import make_field
-from nxmds.matrix import mat_mul, mat_vec, row_rank
+from nxmds.matrix import dot, mat_mul, mat_vec, row_rank
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -29,6 +32,19 @@ F7 = make_field(7)
 
 def random_matrix(rng, rows, cols, q):
     return [[int(v) for v in row] for row in rng.integers(0, q, size=(rows, cols))]
+
+
+@pytest.mark.parametrize("f", [F7, make_field(257), make_field(2, 3)])
+def test_dot_matches_field_ops(f):
+    rng = np.random.default_rng(31)
+    for size in range(6):
+        u, v = ([int(x) for x in rng.integers(0, f.q, size)] for _ in range(2))
+        acc = 0
+        for a, b in zip(u, v):
+            acc = f.add(acc, f.mul(a, b))
+        assert dot(f, u, v) == acc
+    with pytest.raises(ShapeMismatch):
+        dot(f, [1], [1, 0])
 
 
 def test_params_validation():
@@ -277,11 +293,54 @@ def test_decode_agrees_with_min_distance_oracle():
     # every word at t1 = 1, garbage beyond the decoding radius included
     params, _ = make_code(4, 2, F5)
     assert check_against_oracle(params, itertools.product(range(5), repeat=4))
-    # t1 = 2 over a prime field and over GF(2^3), and t1 = 3
+    # t1 = 2 over a prime field and over GF(2^3), t1 = 3 over a prime
+    # field and over GF(3^2), and t1 = 4
     rng = np.random.default_rng(29)
-    for n, k, f in [(6, 2, F7), (7, 3, make_field(2, 3)), (8, 2, make_field(11))]:
+    for n, k, f in [(6, 2, F7), (7, 3, make_field(2, 3)), (8, 2, make_field(11)),
+                    (9, 3, make_field(3, 2)), (10, 2, make_field(11))]:
         params, _ = make_code(n, k, f)
         assert check_against_oracle(params, oracle_words(params, rng))
+
+
+DECODE_FIELDS = [F7, make_field(11), make_field(2, 3), make_field(2, 4)]
+
+
+@st.composite
+def corrupted_codewords(draw, beyond):
+    """(params, codeword, word, support): a codeword of a random code with
+    t1 >= 1, and the word it becomes under an error whose support holds
+    position 0 (evaluation point 0), of weight 1..t1, or t1 + 1 when
+    beyond.  Codes for the beyond case have at most 512 codewords, so
+    the exhaustive oracle stays cheap."""
+    f = draw(st.sampled_from(DECODE_FIELDS))
+    n = draw(st.integers(3, min(f.q, 12 if not beyond else 9)))
+    k_max = n - 2 if not beyond else max(j for j in range(1, n - 1) if f.q ** j <= 512)
+    params = CodeParams(n, draw(st.integers(1, k_max)), f)
+    coeffs = draw(st.lists(st.integers(0, f.q - 1), min_size=params.k, max_size=params.k))
+    codeword = tuple(oracles.poly_eval(f, coeffs, x) for x in params.eval_points)
+    weight = params.t1 + 1 if beyond else draw(st.integers(1, params.t1))
+    others = st.lists(st.integers(1, n - 1), min_size=weight - 1,
+                      max_size=weight - 1, unique=True)
+    support = frozenset([0, *draw(others)])
+    word = list(codeword)
+    for p in support:
+        word[p] = f.add(word[p], draw(st.integers(1, f.q - 1)))
+    return params, codeword, tuple(word), support
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_codewords(beyond=False))
+def test_decode_corrects_up_to_t1_errors(case):
+    params, codeword, word, support = case
+    assert decode_codeword(params, word) == DecodeOutcome(
+        True, codeword, codeword[:params.k], support)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_codewords(beyond=True))
+def test_decode_beyond_radius_matches_oracle(case):
+    params, _, word, _ = case
+    check_against_oracle(params, [word])
 
 
 def test_decode_two_error_radius():
