@@ -11,7 +11,6 @@ import csv
 import io
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,13 +21,12 @@ from .errors import NxmdsError
 from .experiments import bias_sweep, mc_failure_rate
 from .field import field_from_order
 from .hashing import (
-    draw_random_vector,
-    make_prg_seed,
-    minimal_extension_degree,
-    node_hash,
-    prg_expand,
-    seed_bit_count,
+    PSEUDORANDOM,
+    TRUE_RANDOM,
     HashVector,
+    draw_vector,
+    minimal_extension_degree,
+    seed_bit_count,
 )
 from .matrix import mat_add
 from .storage import (
@@ -44,9 +42,11 @@ from .verifier import (
     STATUS_CLEAN,
     STATUS_LOCATED,
     STATUS_UNDECODABLE,
+    THEOREMS,
     accounting,
     choose_field,
     collect_hashes,
+    failure_bound,
     repair_node,
     verify,
 )
@@ -75,22 +75,10 @@ MODEL_ALIASES = {
     "rankf": "rank-f",
 }
 
-TRUE_RANDOM = "true-random"
-PSEUDORANDOM = "pseudorandom"
-
-
-@dataclass(frozen=True)
-class ReportDocument:
-    """Ordered key-value report with deterministic byte rendering."""
-
-    items: tuple
-
-    def render(self) -> str:
-        return "".join(f"{key}: {value}\n" for key, value in self.items)
-
 
 def _emit(items) -> None:
-    sys.stdout.write(ReportDocument(tuple(items)).render())
+    """Write an ordered key-value report, one `key: value` line each."""
+    sys.stdout.write("".join(f"{key}: {value}\n" for key, value in items))
 
 
 def _rng(seed: int, label: int):
@@ -118,12 +106,15 @@ def _node_path(directory: str, i: int) -> str:
 
 
 def _load_system(directory: str):
-    """Rebuild params, generator and node contents from a directory."""
-    header, _ = container.read_matrix(_node_path(directory, 1))
+    """Rebuild params, generator and node contents from a directory;
+    node 1's header gives the code parameters."""
+    header, rows = container.read_matrix(_node_path(directory, 1))
+    node_header = header
     params, G = container.code_for(header)
     slices = []
     for i in range(1, params.n + 1):
-        node_header, rows = container.read_matrix(_node_path(directory, i))
+        if i > 1:
+            node_header, rows = container.read_matrix(_node_path(directory, i))
         if node_header.node_id != i:
             raise NxmdsError(
                 f"node file {i} carries node id {node_header.node_id}"
@@ -134,14 +125,6 @@ def _load_system(directory: str):
             raise NxmdsError(f"node file {i} disagrees on code parameters")
         slices.append(rows)
     return params, G, from_slices(params, G, slices)
-
-
-def _draw_vector(params, mode: str, seed: int):
-    rng = _rng(seed, LABEL_VECTOR)
-    if mode == TRUE_RANDOM:
-        return draw_random_vector(params.N, params.field, rng), None
-    prg = make_prg_seed(params.field, params.N, rng)
-    return prg_expand(prg, params.N), prg
 
 
 def cmd_encode(args) -> int:
@@ -194,7 +177,7 @@ def cmd_corrupt(args) -> int:
 
 def cmd_hash(args) -> int:
     params, G, state = _load_system(args.dir)
-    r, prg = _draw_vector(params, args.mode, args.seed)
+    r, prg = draw_vector(params, args.mode, _rng(args.seed, LABEL_VECTOR))
     H = collect_hashes(state, r)
     container.write_matrix(
         os.path.join(args.dir, "hash.nxm"),
@@ -275,7 +258,7 @@ def cmd_repair(args) -> int:
 
 
 def _audit_common(params, G, state, truth, args):
-    r, _ = _draw_vector(params, args.mode, args.seed)
+    r, _ = draw_vector(params, args.mode, _rng(args.seed, LABEL_VECTOR))
     H = collect_hashes(state, r)
     report = verify(H, params, G)
     items = [
@@ -333,7 +316,7 @@ def cmd_experiment(args) -> int:
     if not qs:
         raise NxmdsError("empty q grid")
     model, t = _parse_model(args.model)
-    kind = TRUE_RANDOM if args.mode == "thm1" else PSEUDORANDOM
+    kind = THEOREMS[args.mode]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([
@@ -392,13 +375,9 @@ def cmd_params(args) -> int:
         per_column = args.k * alpha * (field.q - 1).bit_length()
         N = max(1, -(-args.M // per_column))
     params, _ = make_code(args.n, args.k, field, N)
-    kind = TRUE_RANDOM if args.mode == "thm1" else PSEUDORANDOM
+    kind = THEOREMS[args.mode]
     budget = accounting(params, kind)
-    t1 = params.t1
-    if args.mode == "thm1":
-        bound = Fraction(t1, field.q)
-    else:
-        bound = Fraction(2 * alpha * t1, field.q)
+    bound = failure_bound(args.n, args.k, field.q, kind)
     items = [
         ("command", "params"),
         ("M-bits", args.M),
@@ -435,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Encode, corrupt, hash, verify and repair coded storage.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    theorems = list(THEOREMS)  # Theorem 1, the true-random audit, first
 
     p = sub.add_parser("encode", help="encode data into node files")
     _add_code_flags(p)
@@ -491,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--model", default="rank1:1")
     p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--mode", choices=["thm1", "thm2"], default="thm1")
+    p.add_argument("--mode", choices=theorems, default=theorems[0])
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -508,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--mode", choices=["thm1", "thm2"], required=True)
+    p.add_argument("--mode", choices=theorems, required=True)
     p.set_defaults(func=cmd_params)
 
     return parser

@@ -228,12 +228,12 @@ def _poly_sub_mul(f, a, q, b) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _decoder_tables(params: CodeParams):
-    """What decode_codeword needs besides the word: the systematic
-    weights of positions k..n-1 (_subset_weights at anchors 0..k-1), and
-    Gao's fixed polynomials: g0 = prod (x - a_i) over the evaluation
-    points, the n x n interpolation matrix (row j maps a word to
-    coefficient j of the polynomial of degree < n through it) and the
-    n x k evaluation rows (1, a_i, ..., a_i^(k-1))."""
+    """What is_codeword and decode_codeword need besides the word: the
+    systematic weights of positions k..n-1 (_subset_weights at anchors
+    0..k-1), and Gao's fixed polynomials: g0 = prod (x - a_i) over the
+    evaluation points, the n x n interpolation matrix (row j maps a word
+    to coefficient j of the polynomial of degree < n through it) and
+    the n x k evaluation rows (1, a_i, ..., a_i^(k-1))."""
     f, k, pts = params.field, params.k, params.eval_points
     g0 = [1]
     for a in pts:
@@ -254,15 +254,24 @@ def _decoder_tables(params: CodeParams):
     return checks, tuple(g0), interp, evals
 
 
+def is_codeword(params: CodeParams, word) -> bool:
+    """True when the n-symbol word satisfies the code's n-k parity
+    checks: its last n-k symbols are the systematic interpolation of
+    its first k.  Costs n-k dot products of length k."""
+    k, f = params.k, params.field
+    head = word[:k]
+    checks = _decoder_tables(params)[0]
+    return all(dot(f, row, head) == v for row, v in zip(checks, word[k:]))
+
+
 def decode_codeword(params: CodeParams, word) -> DecodeOutcome:
     """Bounded-distance decoding: the unique codeword within distance t1
     of the word, or failure.
 
     A codeword within t1 is unique (2*t1 < n-k+1), so this is also the
     minimum-distance answer whenever one exists within the radius.  A
-    word that agrees with the systematic interpolation from its first k
-    symbols is returned as is, at the cost of n-k dot products.  Any
-    other word goes through Gao's decoder (S. Gao, "A new algorithm for
+    word that passes is_codeword is returned as is.  Any other word
+    goes through Gao's decoder (S. Gao, "A new algorithm for
     decoding Reed-Solomon codes", 2003): interpolate g1 through the word,
     run the extended Euclidean algorithm on g0 = prod (x - a_i) and g1
     until the remainder g = u*g0 + v*g1 has degree < (n+k)/2, and divide
@@ -276,10 +285,9 @@ def decode_codeword(params: CodeParams, word) -> DecodeOutcome:
     if len(word) != n:
         raise ShapeMismatch(f"received word must have {n} symbols")
     word = tuple(word)
-    head = word[:k]
-    checks, g0, interp, evals = _decoder_tables(params)
-    if all(dot(f, row, head) == v for row, v in zip(checks, word[k:])):
-        return DecodeOutcome(True, word, head, frozenset())
+    if is_codeword(params, word):
+        return DecodeOutcome(True, word, word[:k], frozenset())
+    _, g0, interp, evals = _decoder_tables(params)
     r0, r1 = g0, _strip(mat_vec(f, interp, word))
     v0, v1 = [], [1]
     while 2 * (len(r1) - 1) >= n + k:  # deg r1 >= (n+k)/2

@@ -139,7 +139,8 @@ def deserialize_matrix(data: bytes) -> tuple[ContainerHeader, list[list[int]]]:
     nrows = int.from_bytes(data[pos:pos + 8], "little")
     ncols = int.from_bytes(data[pos + 8:pos + 16], "little")
     pos += 16
-    width = symbol_width(header.q)
+    q = header.q
+    width = symbol_width(q)
     need = nrows * ncols * width
     if len(data) < pos + need:
         raise TruncatedPayload(
@@ -147,17 +148,12 @@ def deserialize_matrix(data: bytes) -> tuple[ContainerHeader, list[list[int]]]:
         )
     if len(data) > pos + need:
         raise ContainerError("trailing bytes after payload")
-    rows = []
-    for _ in range(nrows):
-        row = []
-        for _ in range(ncols):
-            v = int.from_bytes(data[pos:pos + width], "little")
-            if v >= header.q:
-                raise ContainerError(f"symbol {v} out of range for q={header.q}")
-            row.append(v)
-            pos += width
-        rows.append(row)
-    return header, rows
+    flat = [int.from_bytes(data[j:j + width], "little")
+            for j in range(pos, pos + need, width)]
+    if flat and max(flat) >= q:
+        v = next(v for v in flat if v >= q)
+        raise ContainerError(f"symbol {v} out of range for q={q}")
+    return header, [flat[r * ncols:(r + 1) * ncols] for r in range(nrows)]
 
 
 def write_matrix(path, header: ContainerHeader, rows) -> None:

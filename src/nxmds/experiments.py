@@ -17,19 +17,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .code import CodeParams, make_code
 from .errors import TooLargeToEnumerate
 from .field import ExtensionField, field_from_order
-from .hashing import (
-    PrgSeed,
-    draw_random_vector,
-    make_prg_seed,
-    minimal_extension_degree,
-    prg_expand,
-)
+from .hashing import PrgSeed, draw_vector, minimal_extension_degree, prg_expand
 from .matrix import dot
 from .storage import (
     ErrorPlan,
@@ -39,7 +34,7 @@ from .storage import (
     sample_error_plan,
     true_error_set,
 )
-from .verifier import collect_hashes, verify
+from .verifier import collect_hashes, failure_bound, verify
 
 ENUM_LIMIT = 10 ** 7
 
@@ -75,24 +70,14 @@ def run_trial(state, model: str, t: int, kind: str, rng, *,
     if t:
         plan = sample_error_plan(model, t, rng, params, f=f, target=target)
         corrupt(state, plan)
-    if kind == "true-random":
-        r = draw_random_vector(params.N, params.field, rng)
-    elif kind == "pseudorandom":
-        r = prg_expand(make_prg_seed(params.field, params.N, rng), params.N)
-    else:
-        raise ValueError(f"unknown randomness kind {kind!r}")
+    r, _ = draw_vector(params, kind, rng)
     report = verify(collect_hashes(state, r), params, state.G)
     missed = true_error_set(state) - report.flagged
     return TrialResult(not missed, missed, report.status, report.randomness)
 
 
 def theoretical_bound(params: CodeParams, kind: str) -> float:
-    q = params.field.q
-    if kind == "true-random":
-        return params.t1 / q
-    if kind == "pseudorandom":
-        return 2 * (params.n - params.k) * params.t1 / q
-    raise ValueError(f"unknown randomness kind {kind!r}")
+    return float(failure_bound(params.n, params.k, params.field.q, kind))
 
 
 def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
@@ -155,24 +140,19 @@ def exact_failure_small(params: CodeParams, plan: ErrorPlan) -> Fraction:
 
 # -- generator enumeration -------------------------------------------------
 
-_prg_tables: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _prg_table(q: int, m: int, N: int):
     """Production generator output for every seed (x, y), x-major."""
-    key = (q, m, N)
-    if key not in _prg_tables:
-        if (q ** m) ** 2 * N > 8 * ENUM_LIMIT:
-            raise TooLargeToEnumerate(f"{(q ** m) ** 2} seeds of length {N}")
-        base = field_from_order(q)
-        ext = ExtensionField(base, m)
-        S = ext.q
-        _prg_tables[key] = tuple(
-            prg_expand(PrgSeed(x, y, ext), N).symbols
-            for x in range(S)
-            for y in range(S)
-        )
-    return _prg_tables[key]
+    if (q ** m) ** 2 * N > 8 * ENUM_LIMIT:
+        raise TooLargeToEnumerate(f"{(q ** m) ** 2} seeds of length {N}")
+    base = field_from_order(q)
+    ext = ExtensionField(base, m)
+    S = ext.q
+    return tuple(
+        prg_expand(PrgSeed(x, y, ext), N).symbols
+        for x in range(S)
+        for y in range(S)
+    )
 
 
 def _zero_count(q: int, m: int, N: int, beta, c: int) -> tuple[int, int]:

@@ -2,7 +2,10 @@
 
 Every node projects each stored row onto the same length-N vector r; the
 n*alpha inner products, stacked in node order, form a codeword of the
-(n,k) code offset by the projected errors.  r comes in two flavors:
+(n,k) code offset by the projected errors.  r comes in two kinds, and
+this module owns them: it names them, draws r for either (draw_vector)
+and prices the shared randomness (seed_bit_count).  What each kind
+guarantees, the theorem and its failure bound, lives in the verifier.
 
   true-random    N uniform symbols, N*ceil(log2 q) shared bits
   pseudorandom   expanded from a seed of two elements of an extension
@@ -26,12 +29,15 @@ from .errors import ExtensionTooSmall, ShapeMismatch
 from .field import make_extension, symbol_bits
 from .matrix import dot
 
+TRUE_RANDOM = "true-random"
+PSEUDORANDOM = "pseudorandom"
+
 
 @dataclass(frozen=True)
 class RandomVector:
     symbols: tuple[int, ...]
     field: object
-    provenance: str  # "true-random" | "pseudorandom"
+    provenance: str  # TRUE_RANDOM | PSEUDORANDOM
     seed_bits: int
     drawn_at: int
 
@@ -78,7 +84,7 @@ def draw_random_vector(N: int, field, rng) -> RandomVector:
         raise ValueError("N must be >= 1")
     symbols = tuple(int(v) for v in rng.integers(0, field.q, size=N))
     return RandomVector(
-        symbols, field, "true-random", N * symbol_bits(field.q), clock.tick()
+        symbols, field, TRUE_RANDOM, N * symbol_bits(field.q), clock.tick()
     )
 
 
@@ -116,8 +122,19 @@ def prg_expand(seed: PrgSeed, N: int) -> RandomVector:
         if i + 1 < N:
             power = ext.mul(power, seed.x)
     return RandomVector(
-        tuple(out), base, "pseudorandom", seed.bits, seed.drawn_at
+        tuple(out), base, PSEUDORANDOM, seed.bits, seed.drawn_at
     )
+
+
+def draw_vector(params, kind: str, rng) -> tuple[RandomVector, PrgSeed | None]:
+    """The projection vector of one audit of the given kind, and the
+    seed it grew from (None for a true-random vector)."""
+    if kind == TRUE_RANDOM:
+        return draw_random_vector(params.N, params.field, rng), None
+    if kind == PSEUDORANDOM:
+        seed = make_prg_seed(params.field, params.N, rng)
+        return prg_expand(seed, params.N), seed
+    raise ValueError(f"unknown randomness kind {kind!r}")
 
 
 def node_hash(content, r: RandomVector):
@@ -133,8 +150,8 @@ def seed_bit_count(kind: str, params) -> int:
     """Shared-randomness cost: Theta(N) bits for the true-random vector,
     Theta(log N) for the seed."""
     b = symbol_bits(params.field.q)
-    if kind == "true-random":
+    if kind == TRUE_RANDOM:
         return params.N * b
-    if kind == "pseudorandom":
+    if kind == PSEUDORANDOM:
         return 2 * minimal_extension_degree(params.field.q, params.N) * b
     raise ValueError(f"unknown randomness kind {kind!r}")

@@ -59,12 +59,6 @@ class ErrorPlan:
     def nodes(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.entries)
 
-    def error_for(self, i: int):
-        for j, rows in self.entries:
-            if j == i:
-                return rows
-        return None
-
 
 class SystemState:
     """Stored content of all n nodes, plus oracle-only extras.

@@ -7,13 +7,18 @@ sees the original data; with at most t1 = (n-k)//2 corrupted nodes it
 flags a subset of the truly erroneous ones, and exactly all of them
 unless some node's every error row is orthogonal to the projection
 vector (the protocol's documented failure event).
+
+This module owns what each randomness kind guarantees: THEOREMS maps
+the paper's two theorems to the kinds of hashing, and failure_bound is
+the probability of that failure event under each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from fractions import Fraction
 
-from .code import CodeParams, GeneratorMatrix, encode, hash_word_decode, interpolate
+from .code import CodeParams, GeneratorMatrix, hash_word_decode, interpolate, is_codeword
 from .errors import (
     BadNodeId,
     CommitmentViolation,
@@ -24,12 +29,16 @@ from .errors import (
     TooFewHelpers,
 )
 from .field import FieldSpec, next_prime_power, symbol_bits
-from .hashing import HashVector, node_hash, seed_bit_count
+from .hashing import PSEUDORANDOM, TRUE_RANDOM, HashVector, node_hash, seed_bit_count
 from .storage import SystemState
 
 STATUS_CLEAN = "clean"
 STATUS_LOCATED = "errors-located"
 STATUS_UNDECODABLE = "undecodable"
+
+# Theorem 1: a true-random vector; Theorem 2: one grown from a short
+# seed by the small-bias generator.
+THEOREMS = {"thm1": TRUE_RANDOM, "thm2": PSEUDORANDOM}
 
 
 @dataclass(frozen=True)
@@ -83,19 +92,19 @@ def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
 def verify(H: HashVector, params: CodeParams, G: GeneratorMatrix) -> VerificationReport:
     """Decode the hash vector and flag the error positions.
 
-    The decoded message-hash is re-encoded as a one-column data matrix
-    and compared against the group-wise corrected codeword; the two
-    routes must agree or the code construction is broken.
+    Every corrected group word must satisfy the code's parity checks,
+    or the code construction is broken.  G is not consulted: the
+    checks come from the cached per-code tables.
     """
     out = hash_word_decode(params, H.symbols)
-    hash_bits = params.n * params.alpha * symbol_bits(params.field.q)
+    a = params.alpha
+    hash_bits = params.n * a * symbol_bits(params.field.q)
     if not out.ok:
         return VerificationReport(
             STATUS_UNDECODABLE, frozenset(), hash_bits, H.seed_bits, H.provenance
         )
-    column = encode(replace(params, N=1), G, [[v] for v in out.message_hash])
-    if [row[0] for row in column] != list(out.codeword):
-        raise SingularSystem("re-encoded message-hash disagrees with decoder")
+    if not all(is_codeword(params, out.codeword[g::a]) for g in range(a)):
+        raise SingularSystem("corrected hash word is not a codeword")
     status = STATUS_LOCATED if out.error_nodes else STATUS_CLEAN
     return VerificationReport(
         status, out.error_nodes, hash_bits, H.seed_bits, H.provenance
@@ -125,7 +134,7 @@ def repair_node(state: SystemState, target: int, helpers) -> list[list[int]]:
     return block
 
 
-def accounting(params: CodeParams, kind: str = "true-random") -> AuditBudget:
+def accounting(params: CodeParams, kind: str = TRUE_RANDOM) -> AuditBudget:
     """Bit costs of one audit versus shipping the data.
 
     Whole-bit symbol widths throughout: M = k*alpha*N*ceil(log2 q) bits
@@ -146,11 +155,22 @@ def accounting(params: CodeParams, kind: str = "true-random") -> AuditBudget:
     )
 
 
+def failure_bound(n: int, k: int, q: int, kind: str) -> Fraction:
+    """The audit's miss probability bound with at most t1 = (n-k)//2
+    corrupted nodes: t1/q for a true-random vector (Theorem 1) and
+    2(n-k)*t1/q for a pseudorandom one (Theorem 2)."""
+    t1 = (n - k) // 2
+    if kind == TRUE_RANDOM:
+        return Fraction(t1, q)
+    if kind == PSEUDORANDOM:
+        return Fraction(2 * (n - k) * t1, q)
+    raise ValueError(f"unknown randomness kind {kind!r}")
+
+
 def choose_field(M_bits: int, n: int, k: int, mode: str) -> FieldSpec:
-    """Field sizing that pushes the audit failure probability below
-    1/M: mode "thm1" targets q >= t1*M for the true-random protocol,
-    mode "thm2" targets q >= 2(n-k)*t1*M for the seeded one.  Rounding
-    up to a prime power only shrinks the failure bound."""
+    """Field sizing that pushes the failure bound of THEOREMS[mode]
+    below 1/M: the bound is c/q, so the target is q >= c*M.  Rounding
+    up to a prime power only shrinks the bound."""
     if M_bits < 1:
         raise ValueError("M must be >= 1")
     if k >= n:
@@ -158,10 +178,7 @@ def choose_field(M_bits: int, n: int, k: int, mode: str) -> FieldSpec:
     t1 = (n - k) // 2
     if t1 == 0:
         raise DegenerateCode(f"(n,k)=({n},{k}) has t1 = 0: no locatable errors")
-    if mode == "thm1":
-        target = t1 * M_bits
-    elif mode == "thm2":
-        target = 2 * (n - k) * t1 * M_bits
-    else:
+    if mode not in THEOREMS:
         raise ValueError(f"unknown mode {mode!r}")
+    target = int(failure_bound(n, k, 1, THEOREMS[mode]) * M_bits)  # c*M
     return FieldSpec(*next_prime_power(max(target, 2)))

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -215,13 +216,100 @@ GOLDEN = [
         'seed-distribution-bits: 144\n'
         'seed: 2\n'
     )),
+    (("params", "--M", "1000", "--n", "6", "--k", "2", "--mode", "thm1"), 0, (
+        'command: params\n'
+        'M-bits: 1000\n'
+        'n: 6\n'
+        'k: 2\n'
+        'mode: thm1\n'
+        'q: 2003\n'
+        'p: 2003\n'
+        's: 1\n'
+        'N: 12\n'
+        'hash-bits: 264\n'
+        'naive-bits: 3000\n'
+        'seed-bits: 132\n'
+        'failure-bound: 2/2003\n'
+        'meets-1-over-M: yes\n'
+    )),
+    (("params", "--M", "1000", "--n", "6", "--k", "2", "--mode", "thm2"), 0, (
+        'command: params\n'
+        'M-bits: 1000\n'
+        'n: 6\n'
+        'k: 2\n'
+        'mode: thm2\n'
+        'q: 16001\n'
+        'p: 16001\n'
+        's: 1\n'
+        'N: 9\n'
+        'm: 2\n'
+        'hash-bits: 336\n'
+        'naive-bits: 3000\n'
+        'seed-bits: 56\n'
+        'failure-bound: 16/16001\n'
+        'meets-1-over-M: yes\n'
+    )),
+    (("experiment", "--n", "4", "--k", "2", "--q", "17,101", "--N", "4",
+      "--model", "rank1:1", "--trials", "600", "--seed", "5", "--mode", "thm2"), 0, (
+        'n,k,q,N,model,t,kind,trials,failures,estimate,sigma,lo,hi,bound,result\n'
+        '4,2,17,4,rank-1,1,pseudorandom,600,46,0.07666666666666666,0.010861928073849572,0.044080882445117944,0.10925245088821538,0.23529411764705882,pass\n'
+        '4,2,101,4,rank-1,1,pseudorandom,600,10,0.016666666666666666,0.005226357700618549,0.0009875935648110193,0.032345739768522314,0.039603960396039604,pass\n'
+    )),
 ]
 
 
 @pytest.mark.parametrize("argv,exit_code,stdout", GOLDEN,
-                         ids=["experiment", "audit-rank1", "audit-prg"])
+                         ids=["experiment", "audit-rank1", "audit-prg",
+                              "params-thm1", "params-thm2", "experiment-thm2"])
 def test_golden_output(capsys, argv, exit_code, stdout):
     assert run(capsys, *argv)[:2] == (exit_code, stdout)
+
+
+# The on-disk workflow, pinned the same way: "{dir}" stands for the
+# system directory, and the files hash.nxm and seed.nxm by their SHA-256.
+GOLDEN_DISK = [
+    (("encode", "--n", "6", "--k", "2", "--q", "257", "--N", "16", "--seed",
+      "4", "--out", "{dir}"), 0, (
+        'command: encode\n'
+        'params: CodeParams(n=6, k=2, q=257, N=16)\n'
+        'source: random (seed 4)\n'
+        'out: {dir}\n'
+        'files: 7\n'
+    )),
+    (("corrupt", "{dir}", "--model", "rank1:2", "--seed", "5"), 0, (
+        'command: corrupt\n'
+        'model: rank-1\n'
+        'nodes: 2 3\n'
+    )),
+    (("hash", "{dir}", "--mode", "pseudorandom", "--seed", "6"), 0, (
+        'command: hash\n'
+        'mode: pseudorandom\n'
+        'hash-symbols: 24\n'
+        'seed-bits: 36\n'
+    )),
+    (("verify", "{dir}"), 2, (
+        'command: verify\n'
+        'params: CodeParams(n=6, k=2, q=257, N=16)\n'
+        'mode: pseudorandom\n'
+        'status: errors-located\n'
+        'flagged: 2 3\n'
+        'hash-bits: 216\n'
+    )),
+]
+GOLDEN_DISK_FILES = {
+    "hash.nxm": "d3da52f93e122d8fc4bff735ac795e140a3dccd2b529cc49bbcce76bc03097a6",
+    "seed.nxm": "dd984e279122e16168b56cbe37f87babbf43978cb745dd49ffef9187684ef5a4",
+}
+
+
+def test_golden_disk_pipeline(tmp_path, capsys):
+    out = str(tmp_path / "sys")
+    for argv, exit_code, stdout in GOLDEN_DISK:
+        argv = [a.format(dir=out) for a in argv]
+        assert run(capsys, *argv)[:2] == (exit_code, stdout.format(dir=out))
+    for name, digest in GOLDEN_DISK_FILES.items():
+        blob = (tmp_path / "sys" / name).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_hash_mode_is_self_describing(tmp_path, capsys):

@@ -72,6 +72,22 @@ def test_roundtrip_random(case):
     assert back == rows and back_header == header
 
 
+@pytest.mark.parametrize("q,width", [(2, 1), (257, 2), (65537, 3)])
+def test_roundtrip_each_symbol_width(q, width):
+    rng = np.random.default_rng(q)
+    rows = [[0, 1, q - 1]] + [[int(v) for v in r]
+                              for r in rng.integers(0, q, size=(4, 3))]
+    header = container.ContainerHeader(q, 1, 4, 2, 3, (0, 1), 2)
+    blob = container.serialize_matrix(header, rows)
+    assert len(blob) == len(container.pack_header(header)) + 16 + 15 * width
+    assert container.deserialize_matrix(blob) == (header, rows)
+    # the first out-of-range symbol is the one named
+    bad = bytearray(blob)
+    bad[-2 * width:] = b"\xff" * (2 * width)
+    with pytest.raises(ContainerError, match=f"symbol {256 ** width - 1} out"):
+        container.deserialize_matrix(bytes(bad))
+
+
 def test_extension_field_header_roundtrip():
     fld = make_field(2, 3)
     params, _ = make_code(6, 3, fld, 2)

@@ -84,6 +84,8 @@ def test_mc_t_validation():
         mc_failure_rate(params, "rank-1", 2, "true-random", 10, 0)
     with pytest.raises(ValueError):
         mc_failure_rate(params, "rank-1", 1, "true-random", 0, 0)
+    with pytest.raises(ValueError):
+        mc_failure_rate(params, "rank-1", 1, "quantum", 10, 0)
 
 
 def plan_for(rows_by_node, model="random-dense"):

@@ -8,6 +8,7 @@ from nxmds.errors import ExtensionTooSmall, ShapeMismatch
 from nxmds.field import make_extension, make_field, symbol_bits
 from nxmds.hashing import (
     draw_random_vector,
+    draw_vector,
     make_prg_seed,
     minimal_extension_degree,
     node_hash,
@@ -186,6 +187,23 @@ def test_hash_codeword_identity(kind):
         H.extend(node_hash([C[(i - 1) * a + j] for j in range(a)], r))
     Xr = mat_vec(f17, X, list(r.symbols))
     assert H == mat_vec(f17, oracles.dense_generator(params, G), Xr)
+
+
+@pytest.mark.parametrize("kind", ["true-random", "pseudorandom"])
+def test_draw_vector_matches_direct_draws(kind):
+    params, _ = make_code(5, 3, make_field(17), 6)
+    r, seed = draw_vector(params, kind, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    if kind == "true-random":
+        assert seed is None
+        assert r.symbols == draw_random_vector(6, params.field, rng).symbols
+    else:
+        direct = make_prg_seed(params.field, 6, rng)
+        assert (seed.x, seed.y, seed.m) == (direct.x, direct.y, direct.m)
+        assert r.symbols == prg_expand(direct, 6).symbols
+    assert r.provenance == kind
+    with pytest.raises(ValueError):
+        draw_vector(params, "quantum", rng)
 
 
 def test_seed_bit_count():

@@ -1,16 +1,19 @@
 import itertools
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
 
-from nxmds import clock
+from nxmds import clock, verifier
 from nxmds.code import make_code
 from nxmds.errors import (
     CommitmentViolation,
     CorruptHelper,
     DegenerateCode,
+    SingularSystem,
     TooFewHelpers,
 )
 from nxmds.field import FieldSpec, make_field
@@ -24,9 +27,11 @@ from nxmds.storage import (
     true_error_set,
 )
 from nxmds.verifier import (
+    THEOREMS,
     accounting,
     choose_field,
     collect_hashes,
+    failure_bound,
     repair_node,
     verify,
 )
@@ -97,6 +102,20 @@ def test_verify_soundness_sampled():
         r = draw_random_vector(3, F17, rng)
         report = verify(collect_hashes(state, r), params, G)
         assert report.flagged <= true_error_set(state)
+
+
+def test_verify_rejects_non_codeword(monkeypatch):
+    # a decoder that hands back a word off the code is a broken
+    # construction, never a verdict on the nodes
+    params, G, state, rng = build()
+    H = collect_hashes(state, draw_random_vector(3, F17, rng))
+    out = verifier.hash_word_decode(params, H.symbols)
+    word = list(out.codeword)
+    word[-1] = (word[-1] + 1) % 17
+    monkeypatch.setattr(verifier, "hash_word_decode",
+                        lambda *a: replace(out, codeword=tuple(word)))
+    with pytest.raises(SingularSystem):
+        verify(H, params, G)
 
 
 def test_verify_documented_miss():
@@ -260,6 +279,15 @@ def test_choose_field():
         choose_field(100, 4, 2, "thm3")
     with pytest.raises(ValueError):
         choose_field(100, 2, 4, "thm1")
+
+
+def test_failure_bound():
+    # Theorem 1: t1/q; Theorem 2: 2(n-k)*t1/q, both exact
+    assert failure_bound(6, 2, 17, THEOREMS["thm1"]) == Fraction(2, 17)
+    assert failure_bound(6, 2, 17, THEOREMS["thm2"]) == Fraction(16, 17)
+    assert failure_bound(9, 5, 101, "true-random") == Fraction(2, 101)
+    with pytest.raises(ValueError):
+        failure_bound(6, 2, 17, "oracle")
 
 
 def test_choose_field_bound_below_one_over_m():
