@@ -25,9 +25,9 @@ import dataclasses
 from dataclasses import dataclass
 
 from . import clock
-from .errors import ExtensionTooSmall, ShapeMismatch
+from .errors import ExtensionTooSmall
 from .field import make_extension, symbol_bits
-from .matrix import dot
+from .matrix import mat_vec
 
 TRUE_RANDOM = "true-random"
 PSEUDORANDOM = "pseudorandom"
@@ -57,7 +57,7 @@ class PrgSeed:
 
     @property
     def bits(self) -> int:
-        return 2 * self.ext.m * symbol_bits(self.ext.base.q)
+        return _shared_bits(PSEUDORANDOM, self.ext.base.q, m=self.ext.m)
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,10 @@ def minimal_extension_degree(q: int, N: int) -> int:
 def draw_random_vector(N: int, field, rng) -> RandomVector:
     if N < 1:
         raise ValueError("N must be >= 1")
-    symbols = tuple(int(v) for v in rng.integers(0, field.q, size=N))
+    symbols = tuple(rng.integers(0, field.q, size=N).tolist())
     return RandomVector(
-        symbols, field, TRUE_RANDOM, N * symbol_bits(field.q), clock.tick()
+        symbols, field, TRUE_RANDOM, _shared_bits(TRUE_RANDOM, field.q, N=N),
+        clock.tick(),
     )
 
 
@@ -139,19 +140,21 @@ def draw_vector(params, kind: str, rng) -> tuple[RandomVector, PrgSeed | None]:
 
 def node_hash(content, r: RandomVector):
     """One symbol per stored row: the row's inner product with r."""
-    N = len(r.symbols)
-    if any(len(row) != N for row in content):
-        raise ShapeMismatch(f"rows must have length {N}")
-    sym = list(r.symbols)
-    return tuple(dot(r.field, list(row), sym) for row in content)
+    return tuple(mat_vec(r.field, content, r.symbols))
 
 
 def seed_bit_count(kind: str, params) -> int:
     """Shared-randomness cost: Theta(N) bits for the true-random vector,
     Theta(log N) for the seed."""
-    b = symbol_bits(params.field.q)
+    q, N = params.field.q, params.N
+    return _shared_bits(kind, q, N=N, m=minimal_extension_degree(q, N))
+
+
+def _shared_bits(kind: str, q: int, *, N: int = 0, m: int = 0) -> int:
+    """The one pricing of shared randomness over GF(q): a true-random
+    vector shares its N symbols, a seed its two elements of F_{q^m}."""
     if kind == TRUE_RANDOM:
-        return params.N * b
+        return N * symbol_bits(q)
     if kind == PSEUDORANDOM:
-        return 2 * minimal_extension_degree(params.field.q, params.N) * b
+        return 2 * m * symbol_bits(q)
     raise ValueError(f"unknown randomness kind {kind!r}")

@@ -1,59 +1,132 @@
 """Small dense matrix/vector helpers over a finite field.
 
-Matrices are lists of row lists of ints.  Nothing here is clever; the
-shapes in play are tiny (dozens of rows) and exactness matters more than
-speed.  The one concession to speed is a fast path for prime fields,
-where a dot product collapses to native integer arithmetic with a single
-final reduction.
+Matrices are lists of row lists of ints.  Exactness matters more than
+speed, but the audit is a chain of linear maps over F_q (encode, inject
+errors, check their rank, project onto r), so the matrix kernels take a
+bulk path over prime fields:
+
+  check once   mat_mul, mat_add, mat_sub and row_rank first test every
+               input entry with the test of PrimeField.check (an int in
+               [0, p), else FieldMismatch), then compute with no
+               per-operation call
+  mat_mul      a numpy int64 product reduced mod p; when a column sum
+               could pass 2^63 - 1 (len(b)*(p-1)^2 too large, e.g. the
+               p ~ 3*10^9 that `params` picks at M = 10^9 bits) it keeps
+               the exact Python-int dot path
+  the rest     native Python ints with a single % p; at the shapes in
+               play numpy's per-call cost outweighs the work
+
+Any other field object (an extension field, or an instrumented wrapper
+such as experiments.CountingField) takes the scalar path: every
+operation goes through the field, which checks its operands.  dot and
+mat_vec check nothing over prime fields: an inner product there is
+native integer arithmetic with a single final reduction.
 """
 
 from __future__ import annotations
 
 import operator
 
+import numpy as np
+
 from .errors import ShapeMismatch
+from .field import PrimeField
+
+_INT64_MAX = 2 ** 63 - 1
 
 
-def dot(field, u, v) -> int:
-    """Inner product of two equal-length vectors."""
-    if len(u) != len(v):
-        raise ShapeMismatch(f"dot of lengths {len(u)} and {len(v)}")
+def _inner(field, u, v) -> int:
     if field.s == 1:
-        p = field.p
-        return sum(map(operator.mul, u, v)) % p
+        return sum(map(operator.mul, u, v)) % field.p
     acc = 0
     for a, b in zip(u, v):
         acc = field.add(acc, field.mul(a, b))
     return acc
 
 
+def dot(field, u, v) -> int:
+    """Inner product of two equal-length vectors."""
+    if len(u) != len(v):
+        raise ShapeMismatch(f"dot of lengths {len(u)} and {len(v)}")
+    return _inner(field, u, v)
+
+
 def mat_vec(field, rows, v) -> list[int]:
-    return [dot(field, row, v) for row in rows]
+    N = len(v)
+    if any(len(row) != N for row in rows):
+        raise ShapeMismatch(f"rows must have length {N}")
+    return [_inner(field, row, v) for row in rows]
+
+
+def _prime_checked(field, *mats) -> int | None:
+    """p once every entry of every matrix has passed PrimeField.check;
+    None when the field is not a PrimeField (the scalar path)."""
+    if not isinstance(field, PrimeField):
+        return None
+    p = field.p
+    for m in mats:
+        for row in m:
+            for x in row:
+                if type(x) is not int or not 0 <= x < p:
+                    field.check(x)  # raises unless x is an in-range int subclass
+    return p
 
 
 def mat_mul(field, a, b) -> list[list[int]]:
     if not a or not b:
         return []
-    if len(a[0]) != len(b):
+    if any(len(row) != len(b) for row in a) or any(len(row) != len(b[0]) for row in b):
         raise ShapeMismatch(f"mat_mul of {len(a)}x{len(a[0])} and {len(b)}x{len(b[0])}")
+    p = _prime_checked(field, a, b)
+    if p is not None and len(b) * (p - 1) ** 2 <= _INT64_MAX:
+        prod = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
+        return (prod % p).tolist()
     bt = list(zip(*b))
-    return [[dot(field, row, col) for col in bt] for row in a]
+    return [[_inner(field, row, col) for col in bt] for row in a]
+
+
+def _same_shape(a, b, name):
+    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
+        raise ShapeMismatch(f"{name} of unequal shapes")
 
 
 def mat_add(field, a, b) -> list[list[int]]:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        raise ShapeMismatch("mat_add of unequal shapes")
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    _same_shape(a, b, "mat_add")
+    p = _prime_checked(field, a, b)
+    if p is None:
+        return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(field, a, b) -> list[list[int]]:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        raise ShapeMismatch("mat_sub of unequal shapes")
-    return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    _same_shape(a, b, "mat_sub")
+    p = _prime_checked(field, a, b)
+    if p is None:
+        return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[(x - y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def row_rank(field, rows) -> int:
-    """Rank by fraction-free-ish Gaussian elimination (copies its input)."""
+    """Rank by Gauss-Jordan elimination (copies its input)."""
+    p = _prime_checked(field, rows)
+    if p is None:
+        inv = field.inv
+
+        def scale(c, row):
+            return [field.mul(c, x) for x in row]
+
+        def eliminate(row, c, pivot):
+            return [field.sub(x, field.mul(c, y)) for x, y in zip(row, pivot)]
+    else:
+        def inv(a):
+            return pow(a, p - 2, p)
+
+        def scale(c, row):
+            return [c * x % p for x in row]
+
+        def eliminate(row, c, pivot):
+            return [(x - c * y) % p for x, y in zip(row, pivot)]
+
     m = [list(r) for r in rows]
     rank = 0
     ncols = len(m[0]) if m else 0
@@ -62,12 +135,10 @@ def row_rank(field, rows) -> int:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.inv(m[rank][col])
-        m[rank] = [field.mul(inv, x) for x in m[rank]]
+        m[rank] = scale(inv(m[rank][col]), m[rank])
         for r in range(len(m)):
             if r != rank and m[r][col] != 0:
-                c = m[r][col]
-                m[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(m[r], m[rank])]
+                m[r] = eliminate(m[r], m[r][col], m[rank])
         rank += 1
         if rank == len(m):
             break

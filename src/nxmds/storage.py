@@ -149,7 +149,7 @@ def true_error_set(state: SystemState) -> frozenset[int]:
 def random_data(params: CodeParams, rng):
     """Uniform k*alpha x N data matrix drawn from a numpy Generator."""
     rows = rng.integers(0, params.field.q, size=(params.k * params.alpha, params.N))
-    return [[int(v) for v in row] for row in rows]
+    return rows.tolist()
 
 
 # -- byte packing ----------------------------------------------------------
@@ -200,7 +200,7 @@ def extract(params: CodeParams, X) -> bytes:
 
 def _nonzero_row(rng, q: int, N: int) -> list[int]:
     while True:
-        row = [int(v) for v in rng.integers(0, q, size=N)]
+        row = rng.integers(0, q, size=N).tolist()
         if any(row):
             return row
 
@@ -209,7 +209,7 @@ def _orthogonal_row(rng, field, target) -> list[int]:
     pivot = next(j for j, v in enumerate(target) if v != 0)
     inv = field.inv(target[pivot])
     while True:
-        row = [int(v) for v in rng.integers(0, field.q, size=len(target))]
+        row = rng.integers(0, field.q, size=len(target)).tolist()
         s = 0
         for j, v in enumerate(row):
             if j != pivot:
@@ -257,17 +257,17 @@ def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
         elif model == "rank-1":
             base = _nonzero_row(rng, q, N)
             while True:
-                coeffs = [int(v) for v in rng.integers(0, q, size=a)]
+                coeffs = rng.integers(0, q, size=a).tolist()
                 if any(coeffs):
                     break
-            E = [[fld.mul(c, v) for v in base] for c in coeffs]
+            E = mat_mul(fld, [[c] for c in coeffs], [base])
         elif model == "rank-f":
             while True:
                 bases = [_nonzero_row(rng, q, N) for _ in range(f)]
                 if row_rank(fld, bases) == f:
                     break
             while True:
-                coeffs = [[int(v) for v in rng.integers(0, q, size=f)] for _ in range(a)]
+                coeffs = [rng.integers(0, q, size=f).tolist() for _ in range(a)]
                 E = mat_mul(fld, coeffs, bases)
                 if row_rank(fld, E) == f:
                     break

@@ -84,3 +84,21 @@ def dense_generator(params, G):
             for d in range(k):
                 rows[i * a + g][g * k + d] = G.rs[d][i]
     return tuple(map(tuple, rows))
+
+
+def row_space_rank(field, rows):
+    """Rank as log_q of the size of the row space, found by enumerating
+    every combination of the rows (q^len(rows) of them; keep it small)."""
+    assert field.q ** len(rows) <= 2401, "row space too large to enumerate"
+    ncols = len(rows[0]) if rows else 0
+    space = set()
+    for coeffs in itertools.product(range(field.q), repeat=len(rows)):
+        vec = [0] * ncols
+        for c, row in zip(coeffs, rows):
+            vec = [field.add(v, field.mul(c, x)) for v, x in zip(vec, row)]
+        space.add(tuple(vec))
+    rank = 0
+    while field.q ** rank < len(space):
+        rank += 1
+    assert field.q ** rank == len(space)
+    return rank

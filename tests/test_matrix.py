@@ -1,0 +1,143 @@
+"""The matrix kernels: the prime-field bulk path against the scalar
+reference, entry checks, and row_rank against an enumeration oracle.
+
+Wrapping a field in experiments.CountingField sends every kernel down
+its scalar path, where each operation goes through the field's own
+checked arithmetic; that is the reference the bulk path must match.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from nxmds.errors import FieldMismatch, ShapeMismatch
+from nxmds.experiments import CountingField
+from nxmds.field import make_field
+from nxmds.matrix import mat_add, mat_mul, mat_sub, row_rank
+
+F7 = make_field(7)
+GF8 = make_field(2, 3)
+P_BIG = 3_000_000_019  # len(b) * (p-1)^2 passes int64: mat_mul's Python-int path
+BULK_FIELDS = [make_field(2), F7, make_field(257), make_field(P_BIG)]
+
+
+def matrices(q, rows, cols):
+    return st.lists(
+        st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows,
+    )
+
+
+@st.composite
+def field_and_pair(draw, same_shape):
+    """A bulk field and two matrices: equal shapes, or conformable for a
+    product, up to 8 x 64."""
+    f = draw(st.sampled_from(BULK_FIELDS))
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 64))
+    s = c if same_shape else draw(st.integers(1, 8))
+    a = draw(matrices(f.q, r, s if same_shape else c))
+    b = draw(matrices(f.q, r if same_shape else c, s))
+    return f, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_and_pair(same_shape=False))
+def test_mat_mul_bulk_matches_scalar(case):
+    f, a, b = case
+    assert mat_mul(f, a, b) == mat_mul(CountingField(f), a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_and_pair(same_shape=True))
+def test_add_sub_rank_bulk_match_scalar(case):
+    f, a, b = case
+    ref = CountingField(f)
+    assert mat_add(f, a, b) == mat_add(ref, a, b)
+    assert mat_sub(f, a, b) == mat_sub(ref, a, b)
+    assert row_rank(f, a) == row_rank(ref, a)
+
+
+def test_reference_path_counts_field_ops():
+    ref = CountingField(F7)
+    mat_add(ref, [[1, 2]], [[3, 4]])
+    assert ref.count == 2
+    row_rank(ref, [[1, 2], [2, 4]])
+    assert ref.count > 2
+
+
+def test_mat_mul_exact_past_int64():
+    top = P_BIG - 1
+    a = [[top] * 3]
+    b = [[top], [top], [1]]
+    assert mat_mul(make_field(P_BIG), a, b) == [[(2 * top * top + top) % P_BIG]]
+
+
+@st.composite
+def low_rank_rows(draw):
+    """Rows spanning a space of random dimension, small enough for the
+    enumeration oracle: combinations of `f` random base rows."""
+    fld = draw(st.sampled_from([make_field(2), make_field(3), F7, GF8, make_field(257)]))
+    rows = 1
+    while fld.q ** (rows + 1) <= 2401 and rows < 6:
+        rows += 1
+    rows = draw(st.integers(1, rows))
+    cols = draw(st.integers(1, 8))
+    f = draw(st.integers(0, rows))
+    bases = draw(matrices(fld.q, f, cols))
+    coeffs = draw(matrices(fld.q, rows, f))
+    out = []
+    for cs in coeffs:
+        vec = [0] * cols
+        for c, base in zip(cs, bases):
+            vec = [fld.add(v, fld.mul(c, x)) for v, x in zip(vec, base)]
+        out.append(vec)
+    return fld, out
+
+
+@settings(max_examples=120, deadline=None)
+@given(low_rank_rows())
+def test_row_rank_matches_row_space_oracle(case):
+    f, rows = case
+    assert row_rank(f, rows) == oracles.row_space_rank(f, rows)
+
+
+def _with(entry, at):
+    m = [[1, 2], [3, 4]]
+    m[at[0]][at[1]] = entry
+    return m
+
+
+KERNELS = {
+    "mat_mul": lambda f, m: mat_mul(f, m, [[1, 0], [0, 1]]),
+    "mat_mul-right": lambda f, m: mat_mul(f, [[1, 0], [0, 1]], m),
+    "mat_add": lambda f, m: mat_add(f, m, [[1, 1], [1, 1]]),
+    "mat_sub": lambda f, m: mat_sub(f, [[1, 1], [1, 1]], m),
+    "row_rank": lambda f, m: row_rank(f, m),
+}
+
+
+@pytest.mark.parametrize("f", [F7, GF8], ids=["GF7", "GF8"])
+@pytest.mark.parametrize("bad", ["q", -1, 2.0])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("at", [(0, 0), (1, 1)])
+def test_kernels_reject_non_elements(f, bad, kernel, at):
+    # the out-of-range integer is the field order: 7 for GF(7), 8 for
+    # GF(2^3), whose characteristic 2 is itself an element
+    entry = f.q if bad == "q" else bad
+    with pytest.raises(FieldMismatch, match="is not an element of"):
+        KERNELS[kernel](f, _with(entry, at))
+
+
+def test_bulk_accepts_what_check_accepts():
+    # bool is an int subclass, so PrimeField.check lets it through
+    assert mat_add(F7, [[True, 6]], [[1, 1]]) == [[2, 0]]
+    assert mat_mul(F7, [[True]], [[5]]) == [[5]]
+
+
+def test_mat_mul_shape_errors():
+    with pytest.raises(ShapeMismatch):
+        mat_mul(F7, [[1, 2]], [[1, 2]])
+    with pytest.raises(ShapeMismatch):
+        mat_mul(F7, [[1, 2], [3]], [[1], [2]])
+    assert mat_mul(F7, [], [[1]]) == []
