@@ -281,12 +281,19 @@ def decode_codeword(params: CodeParams, word) -> DecodeOutcome:
     codeword differs from the word in at most t1 positions.  That costs
     O(n^2) field operations per word.
     """
-    n, k, f = params.n, params.k, params.field
+    n, k = params.n, params.k
     if len(word) != n:
         raise ShapeMismatch(f"received word must have {n} symbols")
     word = tuple(word)
     if is_codeword(params, word):
         return DecodeOutcome(True, word, word[:k], frozenset())
+    return _gao_decode(params, word)
+
+
+def _gao_decode(params: CodeParams, word: tuple[int, ...]) -> DecodeOutcome:
+    """decode_codeword past its parity check: Gao's decoder on an
+    n-symbol word that is not a codeword."""
+    n, k, f = params.n, params.k, params.field
     _, g0, interp, evals = _decoder_tables(params)
     r0, r1 = g0, _strip(mat_vec(f, interp, word))
     v0, v1 = [], [1]
@@ -303,6 +310,23 @@ def decode_codeword(params: CodeParams, word) -> DecodeOutcome:
     if len(errs) > params.t1:
         return _UNDECODABLE
     return DecodeOutcome(True, cw, cw[:k], errs)
+
+
+def decode_columns(params: CodeParams, words) -> dict[int, DecodeOutcome]:
+    """decode_codeword for a block of words, the columns of the n-row
+    matrix `words`, keyed by column.  One product of the parity checks
+    with the block's first k rows screens every column, with the test of
+    is_codeword; the clean columns are left out of the result, and only
+    the others go through Gao's decoder."""
+    n, k = params.n, params.k
+    if len(words) != n:
+        raise ShapeMismatch(f"a block of words must have {n} rows")
+    parity = mat_mul(params.field, _decoder_tables(params)[0], words[:k])
+    return {
+        b: _gao_decode(params, tuple(row[b] for row in words))
+        for b, (want, got) in enumerate(zip(zip(*parity), zip(*words[k:])))
+        if want != got
+    }
 
 
 @dataclass(frozen=True)

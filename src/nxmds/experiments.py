@@ -9,6 +9,23 @@ Three kinds of evidence, kept deliberately separate:
     regimes enumeration cannot reach, reproducible bit-for-bit from the
     master seed regardless of execution order;
   * instrumented operation counting for the generator's cost growth.
+
+mc_failure_rate is a block engine.  Trial i draws from its own rng,
+SeedSequence(master, spawn_key=(1, i)): the committed error plan first,
+then the challenge (a true-random vector or a generator seed).  Trials
+run in blocks of _BLOCK.  A block's seeds expand in one call, and
+because hashing is linear, node i's hash (C_i + E_i) r = C_i r + E_i r:
+the clean hash vectors of the whole block are the columns of one
+product C R, C encoded once per call and R the block's vectors side by
+side, and each planned node adds its E_i r into its alpha rows.  One
+parity product per group then screens every audit's group word, and
+only words that fail it reach the decoder.  The checks of an audit are
+all kept: the plan must predate the vector (CommitmentViolation), and
+every corrected word must be a codeword (SingularSystem).  An audit
+misses when a planned node is not flagged, and flags nothing when some
+group word is undecodable, as verify and true_error_set decide it.
+run_trial is the one-audit path through real storage (restore, corrupt,
+hash every node, verify), and the engine's test oracle.
 """
 
 from __future__ import annotations
@@ -21,15 +38,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .code import CodeParams, make_code
-from .errors import TooLargeToEnumerate
+from .code import CodeParams, decode_columns, encode, is_codeword
+from .errors import CommitmentViolation, SingularSystem, TooLargeToEnumerate
 from .field import ExtensionField, field_from_order
-from .hashing import PrgSeed, draw_vector, minimal_extension_degree, prg_expand
-from .matrix import dot
+from .hashing import (
+    PrgSeed,
+    draw_challenge,
+    draw_vector,
+    expand_challenges,
+    minimal_extension_degree,
+    prg_expand,
+)
+from .matrix import dot, mat_mul, row_dots
 from .storage import (
     ErrorPlan,
     corrupt,
-    make_system,
     random_data,
     sample_error_plan,
     true_error_set,
@@ -41,6 +64,9 @@ ENUM_LIMIT = 10 ** 7
 # spawn-key labels carving independent streams out of one master seed
 _LABEL_DATA = 0
 _LABEL_TRIAL = 1
+
+# trials per block of mc_failure_rate: the most plans and vectors it holds
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -85,9 +111,9 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
                     f: int | None = None, target=None) -> RateEstimate:
     """Monte Carlo miss-rate estimate over independent audits.
 
-    The data matrix is drawn once per run; each trial gets its own rng
-    split off the master seed by trial index, so results do not depend
-    on execution order.
+    The data matrix is drawn and encoded once per run; each trial gets
+    its own rng split off the master seed by trial index, so results do
+    not depend on execution order or on the block size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -96,17 +122,18 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
     data_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_DATA,))
     )
-    X = random_data(params, data_rng)
-    _, G = make_code(params.n, params.k, params.field, params.N)
-    state = make_system(params, G, X)
+    C = encode(params, None, random_data(params, data_rng))  # encode never reads G
     failures = 0
-    for i in range(trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_TRIAL, i))
-        )
-        out = run_trial(state, model, t, kind, rng, f=f, target=target)
-        if not out.detected:
-            failures += 1
+    for start in range(0, trials, _BLOCK):
+        plans, drawn = [], []
+        for i in range(start, min(start + _BLOCK, trials)):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_TRIAL, i))
+            )
+            plans.append(sample_error_plan(model, t, rng, params, f=f, target=target)
+                         if t else None)
+            drawn.append(draw_challenge(params, kind, rng))
+        failures += _block_misses(params, C, plans, expand_challenges(drawn, params.N))
     est = failures / trials
     sigma = math.sqrt(est * (1 - est) / trials)
     return RateEstimate(
@@ -116,6 +143,44 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
         sigma=sigma,
         interval=(max(0.0, est - 3 * sigma), min(1.0, est + 3 * sigma)),
         bound=theoretical_bound(params, kind),
+    )
+
+
+def _block_misses(params: CodeParams, C, plans, vectors) -> int:
+    """Missed audits in a block: audit b commits plans[b] (None when
+    t = 0) and is hashed on vectors[b]."""
+    fld, a = params.field, params.alpha
+    # column b of H is audit b's hash vector: first the clean C r ...
+    H = mat_mul(fld, C, [list(col) for col in zip(*(r.symbols for r in vectors))])
+    rows, vecs, cells = [], [], []
+    for b, (plan, r) in enumerate(zip(plans, vectors)):
+        if plan is None:
+            continue
+        if plan.committed_at > r.drawn_at:
+            raise CommitmentViolation(
+                "error plan was committed after the projection vector was drawn"
+            )
+        for i, E in plan.entries:
+            for g, row in enumerate(E):
+                rows.append(row)
+                vecs.append(r.symbols)
+                cells.append(((i - 1) * a + g, b))
+    # ... then E_i r into the alpha rows of every planned node
+    for (h, b), v in zip(cells, row_dots(fld, rows, vecs)):
+        H[h][b] = fld.add(H[h][b], v)
+    flagged = [set() for _ in plans]
+    undecodable = set()
+    for g in range(a):
+        for b, out in decode_columns(params, H[g::a]).items():
+            if not out.ok:
+                undecodable.add(b)
+            elif not is_codeword(params, out.codeword):
+                raise SingularSystem("corrected hash word is not a codeword")
+            else:
+                flagged[b].update(p + 1 for p in out.errors)
+    return sum(
+        plan is not None and not plan.nodes <= (set() if b in undecodable else flagged[b])
+        for b, plan in enumerate(plans)
     )
 
 

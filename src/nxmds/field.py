@@ -8,8 +8,10 @@ value, 0 and 1 are always the additive and multiplicative identities.
 
 Moduli are chosen deterministically: candidate monic polynomials are
 scanned in increasing order of their coefficient encoding, and the first
-irreducible one wins.  Irreducibility is established by exhaustive trial
-division, which is exact and cheap at the sizes this package targets.
+irreducible one wins.  Irreducibility is decided by Rabin's test (M. O.
+Rabin, "Probabilistic algorithms in finite fields", 1980), which is
+exact and costs O(m^3 log q) base-field operations, so a degree-2
+extension of a 32-bit prime field builds at once.
 
 Examples of moduli found this way:
     GF(2^2): x^2 + x + 1
@@ -316,20 +318,55 @@ def _monic_from_encoding(f, enc: int, degree: int):
     return digits + [1]
 
 
+def _poly_mulmod(f, a, b, mod):
+    """a*b modulo the monic mod; a and b are residues (length deg mod)."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = f.add(prod[i + j], f.mul(x, y))
+    return _poly_rem(f, prod, mod)
+
+
+def _poly_powmod(f, a, e: int, mod):
+    out = [1] + [0] * (len(mod) - 2)
+    while e:
+        if e & 1:
+            out = _poly_mulmod(f, out, a, mod)
+        e >>= 1
+        if e:
+            a = _poly_mulmod(f, a, a, mod)
+    return out
+
+
+def _coprime(f, a, b) -> bool:
+    """Whether gcd(a, b) = 1, by Euclid's algorithm; b is nonzero."""
+    while True:
+        while a and a[-1] == 0:
+            a = a[:-1]
+        if not a:
+            return len(b) == 1
+        inv = f.inv(a[-1])
+        a, b = _poly_rem(f, b, [f.mul(inv, c) for c in a]), a
+
+
 def is_irreducible(f, poly) -> bool:
-    """Exhaustive trial division by every monic polynomial of degree
-    1..deg/2 over f.  Exact; meant for small degrees."""
-    degree = len(poly) - 1
-    if degree < 1 or poly[-1] != 1:
+    """Rabin's test for a monic poly of degree m over f of order q: it is
+    irreducible iff x^(q^m) = x mod poly and, for every prime r | m,
+    gcd(x^(q^(m/r)) - x, poly) = 1.  Every step is base-field arithmetic
+    through f, so an instrumented field sees it."""
+    m = len(poly) - 1
+    if m < 1 or poly[-1] != 1:
         raise ValueError("expected a monic polynomial of degree >= 1")
-    if degree == 1:
-        return True
-    for d in range(1, degree // 2 + 1):
-        for enc in range(f.q ** d):
-            cand = _monic_from_encoding(f, enc, d)
-            if not any(_poly_rem(f, poly, cand)):
-                return False
-    return True
+    x = _poly_rem(f, [0, 1] + [0] * (m - 1), poly)
+    frobenius = [x]  # x^(q^j) mod poly for j = 0..m
+    for _ in range(m):
+        frobenius.append(_poly_powmod(f, frobenius[-1], f.q, poly))
+    if frobenius[m] != x:
+        return False
+    return all(
+        _coprime(f, [f.sub(u, v) for u, v in zip(frobenius[m // r], x)], list(poly))
+        for r in prime_factors(m)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,18 @@ the extension.  Any nonzero linear test sum(beta_i * r_i) then equals
 <coords(P(x)), coords(y)> for the nonzero polynomial P of degree
 <= N-1, which pins the test's bias at (q-1)(N-1)/q^m exactly; m is the
 smallest degree that pushes this below 1.
+
+Drawing r has two steps, and draw_vector is their composition:
+draw_challenge draws what the kind shares (the vector itself, or the
+seed), and expand_challenges grows seeds into vectors.  Many seeds of
+one extension expand together (prg_expand_many): over a PrimeField base
+the recurrence runs on all of them at once as numpy int64 arrays, under
+matrix.int64_fits with the m products of an extension multiplication.
+Any other base (an extension field, or an instrumented wrapper such as
+experiments.CountingField), or a p too large for int64 (the
+p ~ 3*10^9 that `params` picks at M = 10^9 bits), falls back to the
+scalar prg_expand seed by seed, which sends every base-field operation
+through the field.
 """
 
 from __future__ import annotations
@@ -24,10 +36,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import clock
 from .errors import ExtensionTooSmall
-from .field import make_extension, symbol_bits
-from .matrix import mat_vec
+from .field import PrimeField, make_extension, symbol_bits
+from .matrix import int64_fits, mat_vec
 
 TRUE_RANDOM = "true-random"
 PSEUDORANDOM = "pseudorandom"
@@ -99,6 +113,13 @@ def make_prg_seed(field, N: int, rng) -> PrgSeed:
     return PrgSeed(x, y, ext)
 
 
+def _check_room(ext, N: int):
+    if ext.q < (ext.base.q - 1) * (N - 1):
+        raise ExtensionTooSmall(
+            f"q^m = {ext.q} below (q-1)(N-1) = {(ext.base.q - 1) * (N - 1)}"
+        )
+
+
 def prg_expand(seed: PrgSeed, N: int) -> RandomVector:
     """r_i = <coords(x^i), coords(y)>, by iterated multiplication by x.
 
@@ -108,10 +129,7 @@ def prg_expand(seed: PrgSeed, N: int) -> RandomVector:
     """
     ext = seed.ext
     base = ext.base
-    if ext.q < (base.q - 1) * (N - 1):
-        raise ExtensionTooSmall(
-            f"q^m = {ext.q} below (q-1)(N-1) = {(base.q - 1) * (N - 1)}"
-        )
+    _check_room(ext, N)
     ycoords = ext.coords(seed.y)
     out = []
     power = 1
@@ -127,15 +145,70 @@ def prg_expand(seed: PrgSeed, N: int) -> RandomVector:
     )
 
 
+def prg_expand_many(seeds, N: int) -> list[RandomVector]:
+    """prg_expand of every seed, all of one extension field.
+
+    Over a PrimeField base, when int64_fits(p, m), the seeds' powers of
+    x advance together, each step one product of a coordinate vector
+    with the m x m matrix of multiplication by x, reduced mod p.
+    Otherwise each seed goes through prg_expand.
+    """
+    if not seeds:
+        return []
+    ext = seeds[0].ext
+    base, m = ext.base, ext.m
+    if any(s.ext != ext for s in seeds):
+        raise ValueError("seeds must share one extension field")
+    if not isinstance(base, PrimeField) or not int64_fits(base.p, m):
+        return [prg_expand(s, N) for s in seeds]
+    _check_room(ext, N)
+    p = base.p
+    x = np.array([ext.coords(s.x) for s in seeds], dtype=np.int64)
+    y = np.array([ext.coords(s.y) for s in seeds], dtype=np.int64)
+    low = np.array(ext.modulus[:m], dtype=np.int64)
+    # times_x[b] is multiplication by x_b on coordinates: row j holds
+    # coords(t^j * x_b), each row the one above shifted up a degree and
+    # reduced by the monic modulus
+    times_x = np.zeros((len(seeds), m, m), dtype=np.int64)
+    times_x[:, 0] = x
+    for j in range(1, m):
+        times_x[:, j, 1:] = times_x[:, j - 1, :-1]
+        times_x[:, j] = (times_x[:, j] - times_x[:, j - 1, -1:] * low) % p
+    powers = np.empty((len(seeds), N, m), dtype=np.int64)  # coords(x_b^i)
+    powers[:, 0] = 0
+    powers[:, 0, 0] = 1
+    for i in range(1, N):
+        powers[:, i] = (powers[:, i - 1, :, None] * times_x).sum(axis=1) % p
+    out = (powers * y[:, None, :]).sum(axis=2) % p
+    return [
+        RandomVector(tuple(row), base, PSEUDORANDOM, s.bits, s.drawn_at)
+        for row, s in zip(out.tolist(), seeds)
+    ]
+
+
+def draw_challenge(params, kind: str, rng) -> RandomVector | PrgSeed:
+    """The draw step of one audit of the given kind: the true-random
+    RandomVector itself, or the PrgSeed a pseudorandom one grows from."""
+    if kind == TRUE_RANDOM:
+        return draw_random_vector(params.N, params.field, rng)
+    if kind == PSEUDORANDOM:
+        return make_prg_seed(params.field, params.N, rng)
+    raise ValueError(f"unknown randomness kind {kind!r}")
+
+
+def expand_challenges(challenges, N: int) -> list[RandomVector]:
+    """The expand step: every PrgSeed grows into its vector, all in one
+    prg_expand_many call; a RandomVector is its own expansion."""
+    grown = iter(prg_expand_many([c for c in challenges if isinstance(c, PrgSeed)], N))
+    return [next(grown) if isinstance(c, PrgSeed) else c for c in challenges]
+
+
 def draw_vector(params, kind: str, rng) -> tuple[RandomVector, PrgSeed | None]:
     """The projection vector of one audit of the given kind, and the
     seed it grew from (None for a true-random vector)."""
-    if kind == TRUE_RANDOM:
-        return draw_random_vector(params.N, params.field, rng), None
-    if kind == PSEUDORANDOM:
-        seed = make_prg_seed(params.field, params.N, rng)
-        return prg_expand(seed, params.N), seed
-    raise ValueError(f"unknown randomness kind {kind!r}")
+    drawn = draw_challenge(params, kind, rng)
+    (r,) = expand_challenges([drawn], params.N)
+    return r, drawn if isinstance(drawn, PrgSeed) else None
 
 
 def node_hash(content, r: RandomVector):

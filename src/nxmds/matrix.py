@@ -5,14 +5,14 @@ speed, but the audit is a chain of linear maps over F_q (encode, inject
 errors, check their rank, project onto r), so the matrix kernels take a
 bulk path over prime fields:
 
-  check once   mat_mul, mat_add, mat_sub and row_rank first test every
-               input entry with the test of PrimeField.check (an int in
-               [0, p), else FieldMismatch), then compute with no
-               per-operation call
-  mat_mul      a numpy int64 product reduced mod p; when a column sum
-               could pass 2^63 - 1 (len(b)*(p-1)^2 too large, e.g. the
-               p ~ 3*10^9 that `params` picks at M = 10^9 bits) it keeps
-               the exact Python-int dot path
+  check once   mat_mul, row_dots, mat_add, mat_sub and row_rank first
+               test every input entry with the test of PrimeField.check
+               (an int in [0, p), else FieldMismatch), then compute with
+               no per-operation call
+  mat_mul      numpy int64 products reduced mod p; when a sum of
+  row_dots     products could pass 2^63 - 1 (int64_fits fails, e.g. for
+               the p ~ 3*10^9 that `params` picks at M = 10^9 bits) they
+               keep the exact Python-int dot path
   the rest     native Python ints with a single % p; at the shapes in
                play numpy's per-call cost outweighs the work
 
@@ -33,6 +33,12 @@ from .errors import ShapeMismatch
 from .field import PrimeField
 
 _INT64_MAX = 2 ** 63 - 1
+
+
+def int64_fits(p: int, terms: int) -> bool:
+    """Whether a sum of `terms` products of residues mod p stays within
+    int64: the guard of every numpy kernel over GF(p)."""
+    return terms * (p - 1) ** 2 <= _INT64_MAX
 
 
 def _inner(field, u, v) -> int:
@@ -78,11 +84,26 @@ def mat_mul(field, a, b) -> list[list[int]]:
     if any(len(row) != len(b) for row in a) or any(len(row) != len(b[0]) for row in b):
         raise ShapeMismatch(f"mat_mul of {len(a)}x{len(a[0])} and {len(b)}x{len(b[0])}")
     p = _prime_checked(field, a, b)
-    if p is not None and len(b) * (p - 1) ** 2 <= _INT64_MAX:
+    if p is not None and int64_fits(p, len(b)):
         prod = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
         return (prod % p).tolist()
     bt = list(zip(*b))
     return [[_inner(field, row, col) for col in bt] for row in a]
+
+
+def row_dots(field, a, b) -> list[int]:
+    """<a[j], b[j]> for every j: the inner products of paired rows of
+    two equal-shape matrices, in one call."""
+    N = len(a[0]) if a else 0
+    if len(a) != len(b) or any(len(u) != N or len(v) != N for u, v in zip(a, b)):
+        raise ShapeMismatch("row_dots needs paired rows of one length")
+    if not a:
+        return []
+    p = _prime_checked(field, a, b)
+    if p is not None and int64_fits(p, N):
+        prod = np.array(a, dtype=np.int64) * np.array(b, dtype=np.int64)
+        return (prod.sum(axis=1) % p).tolist()
+    return [_inner(field, u, v) for u, v in zip(a, b)]
 
 
 def _same_shape(a, b, name):
@@ -107,39 +128,32 @@ def mat_sub(field, a, b) -> list[list[int]]:
 
 
 def row_rank(field, rows) -> int:
-    """Rank by Gauss-Jordan elimination (copies its input)."""
+    """Rank by forward elimination on a copy.  Each step takes the first
+    remaining row as pivot and clears its leading column from the rows
+    not yet used, without scaling the pivot; rows that become zero drop
+    out, so the scan stops once every remaining row is zero."""
     p = _prime_checked(field, rows)
     if p is None:
-        inv = field.inv
-
-        def scale(c, row):
-            return [field.mul(c, x) for x in row]
-
-        def eliminate(row, c, pivot):
+        def eliminate(row, col, pivot, inv):
+            c = field.mul(row[col], inv)
             return [field.sub(x, field.mul(c, y)) for x, y in zip(row, pivot)]
+
+        inverse = field.inv
     else:
-        def inv(a):
-            return pow(a, p - 2, p)
-
-        def scale(c, row):
-            return [c * x % p for x in row]
-
-        def eliminate(row, c, pivot):
+        def eliminate(row, col, pivot, inv):
+            c = row[col] * inv % p
             return [(x - c * y) % p for x, y in zip(row, pivot)]
 
-    m = [list(r) for r in rows]
+        def inverse(a):
+            return pow(a, p - 2, p)
+
+    rest = [list(r) for r in rows if any(r)]
     rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        m[rank] = scale(inv(m[rank][col]), m[rank])
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                m[r] = eliminate(m[r], m[r][col], m[rank])
+    while rest:
+        pivot, *rest = rest
+        col = next(j for j, x in enumerate(pivot) if x != 0)
+        inv = inverse(pivot[col])
         rank += 1
-        if rank == len(m):
-            break
+        rest = [r for r in (eliminate(r, col, pivot, inv) if r[col] != 0 else r
+                            for r in rest) if any(r)]
     return rank

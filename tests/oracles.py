@@ -102,3 +102,35 @@ def row_space_rank(field, rows):
         rank += 1
     assert field.q ** rank == len(space)
     return rank
+
+
+def monic(field, enc, degree):
+    """The monic polynomial of the given degree whose lower coefficients
+    are the base-q digits of enc, ascending."""
+    digits = []
+    for _ in range(degree):
+        enc, d = divmod(enc, field.q)
+        digits.append(d)
+    return digits + [1]
+
+
+def _divides(field, den, num):
+    """Whether the monic den divides num, by long division."""
+    num = list(num)
+    d = len(den) - 1
+    for i in range(len(num) - 1, d - 1, -1):
+        c = num[i]
+        for t in range(d + 1):
+            num[i - d + t] = field.sub(num[i - d + t], field.mul(c, den[t]))
+    return not any(num)
+
+
+def irreducible_by_trial_division(field, poly):
+    """Exhaustive trial division of a monic polynomial by every monic
+    polynomial of degree 1..deg/2."""
+    degree = len(poly) - 1
+    return degree >= 1 and not any(
+        _divides(field, monic(field, enc, d), poly)
+        for d in range(1, degree // 2 + 1)
+        for enc in range(field.q ** d)
+    )

@@ -324,6 +324,20 @@ def test_hash_mode_is_self_describing(tmp_path, capsys):
     assert report_value(text, "mode") == "true-random"
 
 
+def test_pseudorandom_audit_over_32_bit_prime(tmp_path, capsys):
+    # the field `params --M 1000000000` picks; the generator runs over
+    # GF(3000000019^2), whose expansion is past int64 and stays scalar
+    out = tmp_path / "sys"
+    run(capsys, "encode", "--n", "6", "--k", "2", "--q", "3000000019",
+        "--N", "4", "--seed", "1", "--out", str(out))
+    run(capsys, "corrupt", str(out), "--model", "rank1:1", "--seed", "2")
+    code, _, _ = run(capsys, "hash", str(out), "--seed", "3", "--mode", "pseudorandom")
+    assert code == 0 and (out / "seed.nxm").exists()
+    code, text, _ = run(capsys, "verify", str(out))
+    assert code == 2 and report_value(text, "mode") == "pseudorandom"
+    assert report_value(text, "status") == "errors-located"
+
+
 def test_experiment_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "experiment", "--n", "4", "--k", "2", "--q",

@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nxmds.code import CodeParams, make_code
-from nxmds.errors import TooLargeToEnumerate
+from nxmds import code, experiments
+from nxmds.code import CodeParams, DecodeOutcome, make_code
+from nxmds.errors import CommitmentViolation, SingularSystem, TooLargeToEnumerate
 from nxmds.experiments import (
     CountingField,
     bias_sweep,
@@ -19,7 +21,7 @@ from nxmds.experiments import (
     theoretical_bound,
 )
 from nxmds.field import field_from_order, make_field
-from nxmds.storage import ErrorPlan, make_system, sample_error_plan
+from nxmds.storage import ErrorPlan, make_system, random_data, sample_error_plan
 
 F5 = make_field(5)
 
@@ -86,6 +88,77 @@ def test_mc_t_validation():
         mc_failure_rate(params, "rank-1", 1, "true-random", 0, 0)
     with pytest.raises(ValueError):
         mc_failure_rate(params, "rank-1", 1, "quantum", 10, 0)
+
+
+def replay_failures(params, model, t, kind, trials, master, **kw):
+    """The engine's oracle: run_trial on real storage, trial by trial,
+    with mc_failure_rate's seeds (data from spawn key (0,), trial i
+    from (1, i))."""
+    def rng(*key):
+        return np.random.default_rng(np.random.SeedSequence(entropy=master, spawn_key=key))
+
+    _, G = make_code(params.n, params.k, params.field, params.N)
+    state = make_system(params, G, random_data(params, rng(0)))
+    return sum(not run_trial(state, model, t, kind, rng(1, i), **kw).detected
+               for i in range(trials))
+
+
+# (6,2): alpha = 4 and t1 = 2; N = 3 allows rank 2 and a target
+ENGINE_FIELDS = {"GF7": 7, "GF257": 257, "GF9": 9, "GF8": 8}
+ENGINE_MODELS = [
+    ("single-cell", {}),
+    ("random-dense", {}),
+    ("rank-1", {}),
+    ("rank-f", {"f": 1}),
+    ("rank-f", {"f": 2}),
+    ("null-against-vector", {"target": [1, 2, 0]}),
+]
+
+
+@pytest.mark.parametrize("kind", ["true-random", "pseudorandom"])
+@pytest.mark.parametrize("q", ENGINE_FIELDS.values(), ids=ENGINE_FIELDS.keys())
+def test_engine_matches_run_trial_replay(q, kind):
+    params = CodeParams(6, 2, field_from_order(q), 3)
+    cases = [("rank-1", 0, {})] + [(m, t, kw) for t in (1, 2) for m, kw in ENGINE_MODELS]
+    misses = 0
+    for j, (model, t, kw) in enumerate(cases):
+        master = (q, j)
+        est = mc_failure_rate(params, model, t, kind, 12, master, **kw)
+        assert est.failures == replay_failures(params, model, t, kind, 12, master, **kw)
+        misses += est.failures
+    if q < 10:
+        assert misses > 0  # small fields miss often enough to test the count
+
+
+@pytest.mark.parametrize("block", [1, 3, experiments._BLOCK])
+@pytest.mark.parametrize("kind", ["true-random", "pseudorandom"])
+def test_estimate_independent_of_block_size(monkeypatch, block, kind):
+    params = CodeParams(6, 2, make_field(7), 3)
+    want = mc_failure_rate(params, "rank-1", 2, kind, 150, 5)
+    monkeypatch.setattr(experiments, "_BLOCK", block)
+    assert mc_failure_rate(params, "rank-1", 2, kind, 150, 5) == want
+
+
+def test_engine_rejects_late_plan(monkeypatch):
+    def late(*args, **kwargs):
+        plan = sample_error_plan(*args, **kwargs)
+        return dataclasses.replace(plan, committed_at=plan.committed_at + 10 ** 9)
+
+    monkeypatch.setattr(experiments, "sample_error_plan", late)
+    params = CodeParams(4, 2, F5, 3)
+    with pytest.raises(CommitmentViolation):
+        mc_failure_rate(params, "rank-1", 1, "true-random", 5, 0)
+
+
+def test_engine_checks_corrected_words(monkeypatch):
+    # a decoder that hands back its input, which is not a codeword
+    def broken(params, word):
+        return DecodeOutcome(True, word, word[:params.k], frozenset({0}))
+
+    monkeypatch.setattr(code, "_gao_decode", broken)
+    params = CodeParams(4, 2, F5, 3)
+    with pytest.raises(SingularSystem):
+        mc_failure_rate(params, "random-dense", 1, "true-random", 5, 0)
 
 
 def plan_for(rows_by_node, model="random-dense"):

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from nxmds.errors import FieldMismatch, NonPrimeCharacteristic
 from nxmds.field import (
     ExtensionField,
@@ -86,8 +89,40 @@ def test_lowest_irreducible_is_minimal():
             for _ in range(m):
                 e, d = divmod(e, 2)
                 digits.append(d)
-            assert not is_irreducible(f, digits + [1])
-        assert is_irreducible(f, list(chosen))
+            assert not oracles.irreducible_by_trial_division(f, digits + [1])
+        assert oracles.irreducible_by_trial_division(f, list(chosen))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 4])
+def test_rabin_matches_trial_division(q):
+    # every monic polynomial of degree 1..4, over prime and extension bases
+    f = field_from_order(q)
+    for m in range(1, 5):
+        for enc in range(q ** m):
+            poly = oracles.monic(f, enc, m)
+            assert is_irreducible(f, poly) == oracles.irreducible_by_trial_division(f, poly)
+
+
+def test_rabin_matches_trial_division_gf257_quadratics():
+    # the quadratics x^2 + b x + c for five linear coefficients b and
+    # every c: 1,285 of the 66,049 monic quadratics over GF(257), since
+    # Rabin's test costs about 0.15 ms and trial division about 0.8 ms
+    # each.  b = 0 holds the GF(257^2) modulus x^2 + 3 and every
+    # candidate the scan rejects before it
+    f = make_field(257)
+    for b in (0, 1, 2, 128, 256):
+        for c in range(257):
+            poly = [c, b, 1]
+            assert is_irreducible(f, poly) == oracles.irreducible_by_trial_division(f, poly)
+
+
+def test_extension_of_32_bit_prime_builds():
+    # 3000000019 = 3 mod 4, so -1 is a non-residue and x^2 + 1 is the
+    # first irreducible of the scan; trial division would try p divisors
+    t0 = time.monotonic()
+    ext = make_extension(make_field(3_000_000_019), 2)
+    assert ext.modulus == (1, 0, 1)
+    assert time.monotonic() - t0 < 5
 
 
 def test_irreducible_has_no_roots():

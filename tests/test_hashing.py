@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from nxmds import hashing
 
 from nxmds.code import make_code
 from nxmds.errors import ExtensionTooSmall, ShapeMismatch
 from nxmds.field import make_extension, make_field, symbol_bits
 from nxmds.hashing import (
+    PrgSeed,
     draw_random_vector,
     draw_vector,
+    expand_challenges,
     make_prg_seed,
     minimal_extension_degree,
     node_hash,
     prg_expand,
+    prg_expand_many,
     seed_bit_count,
 )
 from nxmds.matrix import dot, mat_vec
@@ -232,3 +238,54 @@ def test_seed_bits_scaling():
         assert true_bits[i] == 2 * true_bits[i - 1]
         assert prg_bits[i] - prg_bits[i - 1] <= 10  # one extension degree step
     assert prg_bits[-1] <= 2 * 12 * 5
+
+
+@st.composite
+def seed_block(draw):
+    """Seeds of one extension of GF(2), GF(17) or GF(257), degree 1..4,
+    with an N the extension has room for."""
+    base = make_field(draw(st.sampled_from([2, 17, 257])))
+    ext = make_extension(base, draw(st.integers(1, 4)))
+    top = min(40, ext.q // (base.q - 1) + 1)
+    N = draw(st.integers(1, top))
+    elements = st.integers(0, ext.q - 1)
+    seeds = draw(st.lists(st.tuples(elements, elements), min_size=1, max_size=12))
+    return [PrgSeed(x, y, ext) for x, y in seeds], N
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed_block())
+def test_bulk_expansion_matches_prg_expand(case):
+    seeds, N = case
+    assert prg_expand_many(seeds, N) == [prg_expand(s, N) for s in seeds]
+
+
+def test_bulk_expansion_past_int64_is_scalar(monkeypatch):
+    # 2 * (p-1)^2 passes 2^63 - 1 for p = 3000000019, so each seed goes
+    # through prg_expand, over exact Python ints
+    ext = make_extension(make_field(3_000_000_019), 2)
+    seeds = [PrgSeed(ext.q - 1, ext.q - 2, ext), PrgSeed(12345678901, 3, ext)]
+    want = [prg_expand(s, 4) for s in seeds]
+    calls = []
+    monkeypatch.setattr(hashing, "prg_expand",
+                        lambda s, N: calls.append(s) or prg_expand(s, N))
+    assert prg_expand_many(seeds, 4) == want
+    assert calls == seeds
+
+
+def test_bulk_expansion_checks_room_and_extension():
+    ext = make_extension(make_field(17), 2)
+    with pytest.raises(ExtensionTooSmall):
+        prg_expand_many([PrgSeed(1, 1, ext)], 20)
+    with pytest.raises(ValueError):
+        prg_expand_many([PrgSeed(1, 1, ext), PrgSeed(1, 1, make_extension(F5, 2))], 3)
+
+
+def test_expand_challenges_keeps_order():
+    params, _ = make_code(5, 3, make_field(17), 6)
+    rng = np.random.default_rng(4)
+    drawn = [hashing.draw_challenge(params, kind, rng)
+             for kind in ("pseudorandom", "true-random", "pseudorandom")]
+    out = expand_challenges(drawn, 6)
+    assert out[1] is drawn[1]
+    assert [out[0], out[2]] == [prg_expand(drawn[0], 6), prg_expand(drawn[2], 6)]

@@ -102,6 +102,29 @@ def test_row_rank_matches_row_space_oracle(case):
     assert row_rank(f, rows) == oracles.row_space_rank(f, rows)
 
 
+# GF(2^3) runs row_rank's scalar path: wide rows, zero rows, repeated
+# and dependent rows, and a pivot column that moves past the first
+GF8_RANK_CASES = [
+    ([[1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4]], 1),
+    ([[0] * 12, [0] * 12], 0),
+    ([[0, 0, 0, 5, 1, 1, 0, 2, 7, 3], [0] * 10, [0, 0, 0, 5, 1, 1, 0, 2, 7, 3]], 1),
+    ([[1, 2, 3, 4, 5, 6, 7, 1], [2, 4, 6, 3, 1, 7, 5, 2], [3, 6, 5, 7, 4, 1, 2, 3]], 1),
+    ([[0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 1],
+      [0, 1, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 3, 0, 0, 0, 0]], 3),
+    ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], 3),
+]
+
+
+@pytest.mark.parametrize("rows,rank", GF8_RANK_CASES)
+def test_row_rank_gf8_wide_and_deficient(rows, rank):
+    assert row_rank(GF8, rows) == rank
+    if GF8.q ** len(rows) <= 2401:
+        assert rank == oracles.row_space_rank(GF8, rows)
+    # a combination of the first and last rows adds nothing
+    combo = [GF8.add(GF8.mul(3, x), GF8.mul(5, y)) for x, y in zip(rows[0], rows[-1])]
+    assert row_rank(GF8, rows + [combo]) == rank
+
+
 def _with(entry, at):
     m = [[1, 2], [3, 4]]
     m[at[0]][at[1]] = entry
