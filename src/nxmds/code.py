@@ -8,6 +8,11 @@ g's codeword.  Stacking any k node blocks therefore determines X, and
 locating erroneous node blocks in a hash vector reduces to alpha
 independent classical RS decodes.
 
+hash_word_decode is the one rule from decoded group words to flagged
+nodes: it decodes a matrix of hash vectors, one per column, and both
+verifier.verify (one column) and the Monte Carlo engine
+(experiments.mc_failure_rate, a block of audits) go through it.
+
 Evaluation points are the first n elements of the canonical enumeration
 0, 1, g, g^2, ... (g the field's generator), so the construction is
 reproducible from the parameters alone.
@@ -329,33 +334,27 @@ def decode_columns(params: CodeParams, words) -> dict[int, DecodeOutcome]:
     }
 
 
-@dataclass(frozen=True)
-class HashDecode:
-    """Joint decode of all alpha group words of a hash vector."""
-
-    ok: bool
-    message_hash: tuple[int, ...] | None  # k*alpha symbols when ok
-    error_nodes: frozenset[int] | None    # 1-based node ids when ok
-    codeword: tuple[int, ...] | None      # corrected n*alpha hash vector
-
-
-def hash_word_decode(params: CodeParams, H) -> HashDecode:
-    """Decode each of the alpha group words of H independently; flag the
-    union of error positions as node ids.  Any undecodable group makes
-    the whole vector undecodable."""
-    a, n, k = params.alpha, params.n, params.k
+def hash_word_decode(params: CodeParams, H) -> list[frozenset[int] | None]:
+    """The verifier's rule from hash vectors to flagged nodes.  H has
+    n*alpha rows, one column per hash vector in node-block order, so
+    row i*alpha + g is symbol i of group g's word and H[g::alpha] holds
+    group g's word of every column.  Each group is screened by one
+    decode_columns call; per column the result is the 1-based node ids
+    at the union of its groups' error positions, or None when any group
+    word is undecodable.  A word the decoder corrected that is not a
+    codeword means the construction is broken: SingularSystem."""
+    a, n = params.alpha, params.n
     if len(H) != n * a:
-        raise ShapeMismatch(f"hash vector must have {n * a} symbols")
-    mhash = [0] * (k * a)
-    corrected = [0] * (n * a)
-    flagged = set()
+        raise ShapeMismatch(f"hash vectors must have {n * a} symbols")
+    flagged = [set() for _ in H[0]]
+    undecodable = set()
     for g in range(a):
-        out = decode_codeword(params, [H[i * a + g] for i in range(n)])
-        if not out.ok:
-            return HashDecode(False, None, None, None)
-        for d in range(k):
-            mhash[g * k + d] = out.message[d]
-        for i in range(n):
-            corrected[i * a + g] = out.codeword[i]
-        flagged.update(p + 1 for p in out.errors)
-    return HashDecode(True, tuple(mhash), frozenset(flagged), tuple(corrected))
+        for b, out in decode_columns(params, H[g::a]).items():
+            if not out.ok:
+                undecodable.add(b)
+            elif not is_codeword(params, out.codeword):
+                raise SingularSystem("corrected hash word is not a codeword")
+            else:
+                flagged[b].update(p + 1 for p in out.errors)
+    return [None if b in undecodable else frozenset(nodes)
+            for b, nodes in enumerate(flagged)]

@@ -17,15 +17,21 @@ run in blocks of _BLOCK.  A block's seeds expand in one call, and
 because hashing is linear, node i's hash (C_i + E_i) r = C_i r + E_i r:
 the clean hash vectors of the whole block are the columns of one
 product C R, C encoded once per call and R the block's vectors side by
-side, and each planned node adds its E_i r into its alpha rows.  One
-parity product per group then screens every audit's group word, and
-only words that fail it reach the decoder.  The checks of an audit are
-all kept: the plan must predate the vector (CommitmentViolation), and
-every corrected word must be a codeword (SingularSystem).  An audit
-misses when a planned node is not flagged, and flags nothing when some
-group word is undecodable, as verify and true_error_set decide it.
+side, and each planned node adds its E_i r into its alpha rows.  The
+block's hash vectors then go to code.hash_word_decode, the same rule
+from decoded group words to flagged nodes that verify applies to one
+vector: one parity product per group screens every audit's group word,
+only words that fail it reach the decoder, and every corrected word
+must be a codeword (SingularSystem).  Each plan must predate its
+vector (verifier.check_commitment).  An audit misses when a planned
+node is not flagged; an undecodable audit flags nothing.
+
 run_trial is the one-audit path through real storage (restore, corrupt,
-hash every node, verify), and the engine's test oracle.
+hash every node, verify).  It shares hash_word_decode with the engine,
+so comparing the two checks hashing and sampling, not the flag rule;
+the independent ground truth for flags is the exhaustive decoder
+tests/oracles.min_distance_decode, and perfbench's recount from the
+projected error rows.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .code import CodeParams, decode_columns, encode, is_codeword
-from .errors import CommitmentViolation, SingularSystem, TooLargeToEnumerate
+from .code import CodeParams, encode, hash_word_decode
+from .errors import TooLargeToEnumerate
 from .field import ExtensionField, field_from_order
 from .hashing import (
     PrgSeed,
@@ -57,7 +63,7 @@ from .storage import (
     sample_error_plan,
     true_error_set,
 )
-from .verifier import collect_hashes, failure_bound, verify
+from .verifier import check_commitment, collect_hashes, failure_bound, verify
 
 ENUM_LIMIT = 10 ** 7
 
@@ -156,10 +162,7 @@ def _block_misses(params: CodeParams, C, plans, vectors) -> int:
     for b, (plan, r) in enumerate(zip(plans, vectors)):
         if plan is None:
             continue
-        if plan.committed_at > r.drawn_at:
-            raise CommitmentViolation(
-                "error plan was committed after the projection vector was drawn"
-            )
+        check_commitment([plan], r)
         for i, E in plan.entries:
             for g, row in enumerate(E):
                 rows.append(row)
@@ -168,20 +171,8 @@ def _block_misses(params: CodeParams, C, plans, vectors) -> int:
     # ... then E_i r into the alpha rows of every planned node
     for (h, b), v in zip(cells, row_dots(fld, rows, vecs)):
         H[h][b] = fld.add(H[h][b], v)
-    flagged = [set() for _ in plans]
-    undecodable = set()
-    for g in range(a):
-        for b, out in decode_columns(params, H[g::a]).items():
-            if not out.ok:
-                undecodable.add(b)
-            elif not is_codeword(params, out.codeword):
-                raise SingularSystem("corrected hash word is not a codeword")
-            else:
-                flagged[b].update(p + 1 for p in out.errors)
-    return sum(
-        plan is not None and not plan.nodes <= (set() if b in undecodable else flagged[b])
-        for b, plan in enumerate(plans)
-    )
+    return sum(plan is not None and not plan.nodes <= (flagged or set())
+               for plan, flagged in zip(plans, hash_word_decode(params, H)))
 
 
 def exact_failure_small(params: CodeParams, plan: ErrorPlan) -> Fraction:

@@ -8,6 +8,11 @@ flags a subset of the truly erroneous ones, and exactly all of them
 unless some node's every error row is orthogonal to the projection
 vector (the protocol's documented failure event).
 
+Flags come from code.hash_word_decode, the one rule from decoded group
+words to flagged nodes; the Monte Carlo engine (experiments) calls the
+same function and the same check_commitment, the one check that error
+plans predate the projection vector.
+
 This module owns what each randomness kind guarantees: THEOREMS maps
 the paper's two theorems to the kinds of hashing, and failure_bound is
 the probability of that failure event under each.
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .code import CodeParams, GeneratorMatrix, hash_word_decode, interpolate, is_codeword
+from .code import CodeParams, GeneratorMatrix, hash_word_decode, interpolate
 from .errors import (
     BadNodeId,
     CommitmentViolation,
@@ -59,20 +64,26 @@ class AuditBudget:
     seed_distribution_bits: int
 
 
-def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
-    """Ask every node for its hash block.
-
-    Corrupted nodes hash their corrupted content; `liars` can override
-    single blocks with arbitrary symbols to model nodes that misreport
-    outright.  Error plans must predate the projection vector: nodes do
-    not know r when errors are committed, and a plan stamped after r was
-    drawn is a protocol violation.
-    """
-    for plan in state.plans:
+def check_commitment(plans, r) -> None:
+    """Error plans must predate the projection vector: nodes do not know
+    r when errors are committed, and a plan stamped after r was drawn
+    is a protocol violation."""
+    for plan in plans:
         if plan.committed_at > r.drawn_at:
             raise CommitmentViolation(
                 "error plan was committed after the projection vector was drawn"
             )
+
+
+def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
+    """Ask every node for its hash block.
+
+    Corrupted nodes hash their corrupted content; `liars` can override
+    single blocks with arbitrary field elements to model nodes that
+    misreport outright.  The state's error plans must pass
+    check_commitment.
+    """
+    check_commitment(state.plans, r)
     params = state.params
     liars = dict(liars) if liars else {}
     for i, block in liars.items():
@@ -80,35 +91,27 @@ def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
             raise BadNodeId(f"node id {i} outside 1..{params.n}")
         if len(block) != params.alpha:
             raise ShapeMismatch(f"liar block for node {i} must have alpha symbols")
+        liars[i] = [params.field.check(int(v)) for v in block]
     out = []
     for i in range(1, params.n + 1):
         if i in liars:
-            out.extend(int(v) for v in liars[i])
+            out.extend(liars[i])
         else:
             out.extend(node_hash(state.nodes[i - 1], r))
     return HashVector(tuple(out), r.provenance, r.seed_bits)
 
 
 def verify(H: HashVector, params: CodeParams, G: GeneratorMatrix) -> VerificationReport:
-    """Decode the hash vector and flag the error positions.
-
-    Every corrected group word must satisfy the code's parity checks,
-    or the code construction is broken.  G is not consulted: the
-    checks come from the cached per-code tables.
-    """
-    out = hash_word_decode(params, H.symbols)
-    a = params.alpha
-    hash_bits = params.n * a * symbol_bits(params.field.q)
-    if not out.ok:
-        return VerificationReport(
-            STATUS_UNDECODABLE, frozenset(), hash_bits, H.seed_bits, H.provenance
-        )
-    if not all(is_codeword(params, out.codeword[g::a]) for g in range(a)):
-        raise SingularSystem("corrected hash word is not a codeword")
-    status = STATUS_LOCATED if out.error_nodes else STATUS_CLEAN
-    return VerificationReport(
-        status, out.error_nodes, hash_bits, H.seed_bits, H.provenance
-    )
+    """Decode the hash vector and flag the error positions, by
+    hash_word_decode.  G is not consulted: the parity checks come from
+    the cached per-code tables."""
+    (flagged,) = hash_word_decode(params, [[v] for v in H.symbols])
+    hash_bits = params.n * params.alpha * symbol_bits(params.field.q)
+    if flagged is None:
+        status, flagged = STATUS_UNDECODABLE, frozenset()
+    else:
+        status = STATUS_LOCATED if flagged else STATUS_CLEAN
+    return VerificationReport(status, flagged, hash_bits, H.seed_bits, H.provenance)
 
 
 def repair_node(state: SystemState, target: int, helpers) -> list[list[int]]:

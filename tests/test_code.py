@@ -360,64 +360,72 @@ def hash_codeword(params, G, mhash):
     return [r[0] for r in encode(params, G, [[v] for v in mhash])]
 
 
+def columns(vectors):
+    """The n*alpha-row matrix whose columns are the given hash vectors."""
+    return [list(row) for row in zip(*vectors)]
+
+
+def oracle_flags(params, H):
+    """Flags of one hash vector by exhaustive decoding, group by group:
+    None when some group word has no unique codeword within t1."""
+    a, n = params.alpha, params.n
+    flagged = set()
+    for g in range(a):
+        word = [H[i * a + g] for i in range(n)]
+        cw = oracles.min_distance_decode(params, word, params.t1)
+        if cw is None:
+            return None
+        flagged.update(i + 1 for i in range(n) if cw[i] != word[i])
+    return frozenset(flagged)
+
+
 def test_hash_word_decode_clean():
     rng = np.random.default_rng(5)
     params, G = make_code(4, 2, F5, 1)
-    mhash = [int(v) for v in rng.integers(0, 5, size=4)]
-    H = hash_codeword(params, G, mhash)
-    out = hash_word_decode(params, H)
-    assert out.ok
-    assert out.error_nodes == frozenset()
-    assert list(out.message_hash) == mhash
-    assert list(out.codeword) == H
+    vectors = [hash_codeword(params, G, [int(v) for v in rng.integers(0, 5, size=4)])
+               for _ in range(6)]
+    assert hash_word_decode(params, columns(vectors)) == [frozenset()] * 6
 
 
 def test_hash_word_decode_one_bad_block():
     rng = np.random.default_rng(6)
     params, G = make_code(4, 2, F5, 1)
     a = params.alpha
-    mhash = [int(v) for v in rng.integers(0, 5, size=4)]
-    H = hash_codeword(params, G, mhash)
+    H = hash_codeword(params, G, [int(v) for v in rng.integers(0, 5, size=4)])
+    vectors, want = [], []
     for node in range(1, 5):
         for rep in [(1, 1), (4, 0), (2, 3)]:
             bad = list(H)
             lo = (node - 1) * a
-            if bad[lo:lo + a] == list(rep):
-                continue
             bad[lo:lo + a] = rep
-            out = hash_word_decode(params, bad)
-            assert out.ok
-            assert list(out.message_hash) == mhash
-            changed = {node} if list(rep) != H[lo:lo + a] else set()
-            assert out.error_nodes == changed
+            vectors.append(bad)
+            want.append(frozenset({node}) if list(rep) != H[lo:lo + a] else frozenset())
+    assert hash_word_decode(params, columns(vectors)) == want
 
 
 def test_hash_word_decode_beyond_radius_matches_oracle():
     params, G = make_code(4, 2, F5, 1)
     a = params.alpha
     rng = np.random.default_rng(8)
+    vectors = []
     for _ in range(200):
-        mhash = [int(v) for v in rng.integers(0, 5, size=4)]
-        H = hash_codeword(params, G, mhash)
+        H = hash_codeword(params, G, [int(v) for v in rng.integers(0, 5, size=4)])
         n1, n2 = rng.choice(4, size=2, replace=False) + 1
         for node in (n1, n2):
             lo = (node - 1) * a
             H[lo:lo + a] = [int(v) for v in rng.integers(0, 5, size=a)]
-        out = hash_word_decode(params, H)
-        # per-group oracle: decodable iff every group word has a unique
-        # codeword within t1
-        groups_ok = True
-        for g in range(a):
-            word = [H[i * a + g] for i in range(4)]
-            if oracles.min_distance_decode(params, word, params.t1) is None:
-                groups_ok = False
-        assert out.ok == groups_ok
+        vectors.append(H)
+    got = hash_word_decode(params, columns(vectors))
+    want = [oracle_flags(params, H) for H in vectors]
+    assert got == want
+    assert None in want and any(want)  # both outcomes occur
 
 
 def test_hash_word_decode_shape():
     params, _ = make_code(4, 2, F5, 1)
-    with pytest.raises(ShapeMismatch):
-        hash_word_decode(params, [0] * 7)
+    for rows in (7, 9):
+        with pytest.raises(ShapeMismatch):
+            hash_word_decode(params, [[0, 0]] * rows)
 
 
 def test_codeparams_cache_friendly():

@@ -91,9 +91,11 @@ def test_mc_t_validation():
 
 
 def replay_failures(params, model, t, kind, trials, master, **kw):
-    """The engine's oracle: run_trial on real storage, trial by trial,
-    with mc_failure_rate's seeds (data from spawn key (0,), trial i
-    from (1, i))."""
+    """The engine's oracle for hashing and sampling: run_trial on real
+    storage, trial by trial, with mc_failure_rate's seeds (data from
+    spawn key (0,), trial i from (1, i)).  Both decode through
+    code.hash_word_decode, which test_code checks against the
+    exhaustive oracle."""
     def rng(*key):
         return np.random.default_rng(np.random.SeedSequence(entropy=master, spawn_key=key))
 

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +6,13 @@ import pytest
 
 import oracles
 
-from nxmds import clock, verifier
-from nxmds.code import make_code
+from nxmds import clock, code
+from nxmds.code import DecodeOutcome, make_code
 from nxmds.errors import (
     CommitmentViolation,
     CorruptHelper,
     DegenerateCode,
+    FieldMismatch,
     SingularSystem,
     TooFewHelpers,
 )
@@ -108,12 +108,12 @@ def test_verify_rejects_non_codeword(monkeypatch):
     # a decoder that hands back a word off the code is a broken
     # construction, never a verdict on the nodes
     params, G, state, rng = build()
-    H = collect_hashes(state, draw_random_vector(3, F17, rng))
-    out = verifier.hash_word_decode(params, H.symbols)
-    word = list(out.codeword)
-    word[-1] = (word[-1] + 1) % 17
-    monkeypatch.setattr(verifier, "hash_word_decode",
-                        lambda *a: replace(out, codeword=tuple(word)))
+    r = draw_random_vector(3, F17, rng)
+    honest = collect_hashes(state, r).symbols
+    # node 2 misreports every symbol, so every group word needs decoding
+    H = collect_hashes(state, r, liars={2: [(v + 1) % 17 for v in honest[2:4]]})
+    monkeypatch.setattr(code, "_gao_decode", lambda params, word: DecodeOutcome(
+        True, word, word[:params.k], frozenset({1})))
     with pytest.raises(SingularSystem):
         verify(H, params, G)
 
@@ -153,6 +153,51 @@ def test_liar_block_confined():
     report = verify(H, params, G)
     assert report.status == "errors-located"
     assert report.flagged == {2}
+
+
+@pytest.mark.parametrize("f", [F17, make_field(3, 2)], ids=["GF17", "GF9"])
+def test_liar_symbols_must_be_field_elements(f):
+    params, G, state, rng = build(f=f)
+    r = draw_random_vector(3, f, rng)
+    honest = collect_hashes(state, r).symbols[:2]
+    # out of range but congruent to the honest symbol mod p, negative, huge
+    for bad in (honest[0] + f.q, -5, 10 ** 30):
+        with pytest.raises(FieldMismatch):
+            collect_hashes(state, r, liars={1: (bad, honest[1])})
+    assert collect_hashes(state, r, liars={1: honest}) == collect_hashes(state, r)
+
+
+def scalar_dot(f, u, v):
+    acc = 0
+    for x, y in zip(u, v):
+        acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+@pytest.mark.parametrize("model", ["random-dense", "rank-1"])
+@pytest.mark.parametrize("f", [make_field(3, 2), make_field(2, 3)], ids=["GF9", "GF8"])
+def test_verify_flags_projected_errors_over_extension_fields(f, model):
+    # with t <= t1 bad nodes the flags are exactly the planned nodes with
+    # some error row off the kernel of r
+    params, G, state, rng = build(6, 2, f, N=3, seed=f.q)
+    missed = 0
+    for _ in range(30):
+        state.restore()
+        t = int(rng.integers(0, params.t1 + 1))
+        entries = ()
+        if t:
+            plan = sample_error_plan(model, t, rng, params)
+            corrupt(state, plan)
+            entries = plan.entries
+        r = draw_random_vector(3, f, rng)
+        seen = {i for i, rows in entries
+                if any(scalar_dot(f, row, r.symbols) for row in rows)}
+        report = verify(collect_hashes(state, r), params, G)
+        assert report.flagged == seen
+        assert report.status == ("errors-located" if seen else "clean")
+        missed += len(entries) - len(seen)
+    if model == "rank-1":
+        assert missed  # the failure event occurs, and verify agrees on it
 
 
 def test_prg_vector_end_to_end():
