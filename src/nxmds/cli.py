@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import container
-from .code import make_code, node_rows
+from .code import encode, make_code, node_rows
 from .errors import NxmdsError
 from .experiments import bias_sweep, mc_failure_rate
 from .field import field_from_order
@@ -137,14 +137,15 @@ def cmd_encode(args) -> int:
     else:
         X = random_data(params, _rng(args.seed, LABEL_DATA))
         source = f"random (seed {args.seed})"
-    state = make_system(params, G, X)
+    C = encode(params, G, X)
+    a = params.alpha
     os.makedirs(args.out, exist_ok=True)
     container.write_matrix(_data_path(args.out), container.header_for(params), X)
     for i in range(1, params.n + 1):
         container.write_matrix(
             _node_path(args.out, i),
             container.header_for(params, node_id=i),
-            state.content(i),
+            C[(i - 1) * a:i * a],
         )
     _emit([
         ("command", "encode"),

@@ -6,10 +6,22 @@ by its row and column counts.  Symbols occupy a whole number of
 little-endian bytes each; sub-byte packing is deliberately avoided so
 files stay inspectable with a hex dump.  The bit-exact figures live in
 the accounting report instead.
+
+A symbol is an `int` (bools count, as 0 and 1) in [0, q).  Anything
+else, numpy integer scalars included, raises ContainerError naming the
+first offending symbol in row-major order, on write and on read alike.
+The codec packs a whole matrix in one numpy pass: symbols are staged as
+little-endian uint64 and the low `symbol_width(q)` bytes of each are
+kept, and reading reverses that, so every width up to 8 bytes takes the
+same path.  Symbols wider than 8 bytes (q > 2^64) do not fit the
+staging view and are packed one `int.to_bytes` at a time instead.
 """
 
 import os
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .code import CodeParams, make_code
 from .errors import BadMagic, ContainerError, TruncatedPayload, VersionMismatch
@@ -17,6 +29,9 @@ from .field import lowest_irreducible, make_field, symbol_bits
 
 MAGIC = b"NXMDS1"
 VERSION = 1
+# bytes per symbol of the numpy staging view; wider symbols (q > 2^64)
+# are packed one at a time
+_STAGE = 8
 
 
 @dataclass(frozen=True)
@@ -115,21 +130,44 @@ def parse_header(data: bytes) -> tuple[ContainerHeader, int]:
     return ContainerHeader(p, s, n, k, N, modulus, node_id), pos
 
 
+def _check_symbols(rows, q: int) -> None:
+    """Raise ContainerError naming the first symbol of `rows`, in
+    row-major order, that is not an int in [0, q)."""
+    for row in rows:
+        for v in row:
+            if not isinstance(v, int):
+                raise ContainerError(f"symbol {v!r} is not an integer")
+            if not 0 <= v < q:
+                raise ContainerError(f"symbol {v} out of range for q={q}")
+
+
+def _staged(rows, q: int):
+    """`rows` as a '<u8' array, or None when some symbol is not an int in
+    [0, q): a type check over the distinct symbol types, then one
+    conversion and one range check."""
+    if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(rows)))):
+        return None
+    try:
+        symbols = np.array(rows, dtype="<u8")
+    except OverflowError:  # negative, or 2^64 and above
+        return None
+    return symbols if not symbols.size or int(symbols.max()) < q else None
+
+
 def serialize_matrix(header: ContainerHeader, rows) -> bytes:
     q = header.q
     width = symbol_width(q)
     cols = len(rows[0]) if rows else 0
-    out = bytearray(pack_header(header))
-    out += _u64(len(rows))
-    out += _u64(cols)
-    for row in rows:
-        if len(row) != cols:
-            raise ContainerError("ragged matrix")
-        for v in row:
-            if not 0 <= v < q:
-                raise ContainerError(f"symbol {v} out of range for q={q}")
-            out += v.to_bytes(width, "little")
-    return bytes(out)
+    frame = pack_header(header) + _u64(len(rows)) + _u64(cols)
+    if any(len(row) != cols for row in rows):
+        raise ContainerError("ragged matrix")
+    if width > _STAGE:
+        _check_symbols(rows, q)
+        return frame + b"".join(v.to_bytes(width, "little") for row in rows for v in row)
+    symbols = _staged(rows, q)
+    if symbols is None:
+        _check_symbols(rows, q)
+    return frame + symbols.view(np.uint8).reshape(-1, _STAGE)[:, :width].tobytes()
 
 
 def deserialize_matrix(data: bytes) -> tuple[ContainerHeader, list[list[int]]]:
@@ -148,12 +186,21 @@ def deserialize_matrix(data: bytes) -> tuple[ContainerHeader, list[list[int]]]:
         )
     if len(data) > pos + need:
         raise ContainerError("trailing bytes after payload")
-    flat = [int.from_bytes(data[j:j + width], "little")
-            for j in range(pos, pos + need, width)]
-    if flat and max(flat) >= q:
-        v = next(v for v in flat if v >= q)
-        raise ContainerError(f"symbol {v} out of range for q={q}")
-    return header, [flat[r * ncols:(r + 1) * ncols] for r in range(nrows)]
+    if width > _STAGE:
+        flat = [int.from_bytes(data[j:j + width], "little")
+                for j in range(pos, pos + need, width)]
+        rows = [flat[r * ncols:(r + 1) * ncols] for r in range(nrows)]
+        _check_symbols(rows, q)
+        return header, rows
+    stage = np.zeros((nrows * ncols, _STAGE), np.uint8)
+    stage[:, :width] = np.frombuffer(data, np.uint8, need, pos).reshape(-1, width)
+    try:
+        symbols = stage.view("<u8").reshape(nrows, ncols)
+    except ValueError as exc:  # an empty frame too large for numpy to shape
+        raise ContainerError(f"matrix frame {nrows} x {ncols} too large") from exc
+    if symbols.size and int(symbols.max()) >= q:
+        _check_symbols(symbols.tolist(), q)
+    return header, symbols.tolist()
 
 
 def write_matrix(path, header: ContainerHeader, rows) -> None:

@@ -4,10 +4,14 @@ Everything here recomputes expected values by a different route than the
 library: codewords come from direct polynomial evaluation over the
 coefficient basis (not the systematic Lagrange construction), and
 decoding is exhaustive minimum-distance search over the full codebook.
-Slow on purpose; use only at small parameters.
+Slow on purpose; use only at small parameters.  The .nxm reference
+codec packs and parses one symbol at a time.
 """
 
 import itertools
+
+from nxmds import container
+from nxmds.errors import ContainerError, TruncatedPayload
 
 
 def poly_eval(field, coeffs, x):
@@ -134,3 +138,50 @@ def irreducible_by_trial_division(field, poly):
         for d in range(1, degree // 2 + 1)
         for enc in range(field.q ** d)
     )
+
+
+def pack_matrix(header, rows):
+    """Reference .nxm writer: the header, the row and column counts, then
+    each symbol checked and packed by its own int.to_bytes."""
+    q = header.q
+    width = container.symbol_width(q)
+    cols = len(rows[0]) if rows else 0
+    out = bytearray(container.pack_header(header))
+    out += len(rows).to_bytes(8, "little")
+    out += cols.to_bytes(8, "little")
+    for row in rows:
+        if len(row) != cols:
+            raise ContainerError("ragged matrix")
+        for v in row:
+            if not isinstance(v, int):
+                raise ContainerError(f"symbol {v!r} is not an integer")
+            if not 0 <= v < q:
+                raise ContainerError(f"symbol {v} out of range for q={q}")
+            out += v.to_bytes(width, "little")
+    return bytes(out)
+
+
+def parse_matrix(data):
+    """Reference .nxm reader: each symbol parsed by its own
+    int.from_bytes, then the first out-of-range one named."""
+    header, pos = container.parse_header(data)
+    if len(data) < pos + 16:
+        raise TruncatedPayload("missing matrix frame")
+    nrows = int.from_bytes(data[pos:pos + 8], "little")
+    ncols = int.from_bytes(data[pos + 8:pos + 16], "little")
+    pos += 16
+    q = header.q
+    width = container.symbol_width(q)
+    need = nrows * ncols * width
+    if len(data) < pos + need:
+        raise TruncatedPayload(
+            f"payload needs {need} bytes, only {len(data) - pos} present"
+        )
+    if len(data) > pos + need:
+        raise ContainerError("trailing bytes after payload")
+    flat = [int.from_bytes(data[j:j + width], "little")
+            for j in range(pos, pos + need, width)]
+    if flat and max(flat) >= q:
+        v = next(v for v in flat if v >= q)
+        raise ContainerError(f"symbol {v} out of range for q={q}")
+    return header, [flat[r * ncols:(r + 1) * ncols] for r in range(nrows)]

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from nxmds import container
 from nxmds.code import make_code
 from nxmds.errors import (
@@ -88,6 +90,87 @@ def test_roundtrip_each_symbol_width(q, width):
         container.deserialize_matrix(bytes(bad))
 
 
+# (p, s) with one q = p^s per symbol width 1..9, plus 2^64 - 59, whose
+# symbols can pass 2^63.  The header stores p in 8 bytes, so the width-9
+# field is a square; none of these needs to be a field.
+WIDTH_FIELDS = [(2, 1), (257, 1), (65537, 1), (2 ** 31 - 1, 1), (2 ** 32 + 15, 1),
+                (2 ** 40 + 15, 1), (2 ** 48 + 21, 1), (9 * 10 ** 18 + 7, 1),
+                (2 ** 64 - 59, 1), (2 ** 32 + 15, 2)]
+
+
+def test_width_fields_cover_every_width():
+    widths = [container.symbol_width(p ** s) for p, s in WIDTH_FIELDS]
+    assert widths == [1, 2, 3, 4, 5, 6, 7, 8, 8, 9]
+
+
+@st.composite
+def codec_case(draw):
+    """A header from WIDTH_FIELDS and a 1x1, 1xN or MxN matrix of its
+    symbols."""
+    p, s = draw(st.sampled_from(WIDTH_FIELDS))
+    header = container.ContainerHeader(p, s, 4, 2, 3, (0,) * s + (1,), 1)
+    nrows, ncols = draw(st.one_of(
+        st.just((1, 1)),
+        st.tuples(st.just(1), st.integers(2, 9)),
+        st.tuples(st.integers(2, 5), st.integers(1, 9))))
+    symbol = st.integers(0, header.q - 1)
+    rows = draw(st.lists(st.lists(symbol, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return header, rows
+
+
+def bad_positions(draw, rows):
+    cells = [(r, c) for r in range(len(rows)) for c in range(len(rows[0]))]
+    return draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True))
+
+
+def container_error(fn, *args):
+    with pytest.raises(ContainerError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codec_case())
+def test_bulk_codec_matches_reference(case):
+    header, rows = case
+    blob = container.serialize_matrix(header, rows)
+    assert blob == oracles.pack_matrix(header, rows)
+    assert container.deserialize_matrix(blob) == oracles.parse_matrix(blob) == (header, rows)
+
+
+def non_symbols(q):
+    return st.one_of(
+        st.integers(q, q + 2 ** 70), st.integers(max_value=-1),
+        st.floats(), st.text(max_size=2), st.none(),
+        st.integers(0, q - 1).map(lambda v: np.uint64(v % 2 ** 64)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(codec_case(), st.data())
+def test_bulk_codec_names_first_bad_symbol_on_write(case, data):
+    header, rows = case
+    for r, c in bad_positions(data.draw, rows):
+        rows[r][c] = data.draw(non_symbols(header.q))
+    message = container_error(container.serialize_matrix, header, rows)
+    assert message == container_error(oracles.pack_matrix, header, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codec_case(), st.data())
+def test_bulk_codec_names_first_bad_symbol_on_read(case, data):
+    header, rows = case
+    q, width = header.q, container.symbol_width(header.q)
+    blob = bytearray(container.serialize_matrix(header, rows))
+    start = len(blob) - len(rows) * len(rows[0]) * width
+    for r, c in bad_positions(data.draw, rows):
+        j = start + (r * len(rows[0]) + c) * width
+        blob[j:j + width] = data.draw(st.integers(q, 256 ** width - 1)).to_bytes(width, "little")
+    message = container_error(container.deserialize_matrix, bytes(blob))
+    assert message == container_error(oracles.parse_matrix, bytes(blob))
+    assert message.startswith("symbol ") and message.endswith(f"out of range for q={q}")
+
+
 def test_extension_field_header_roundtrip():
     fld = make_field(2, 3)
     params, _ = make_code(6, 3, fld, 2)
@@ -139,6 +222,17 @@ def test_trailing_bytes_rejected():
         container.deserialize_matrix(blob + b"\x00")
 
 
+def test_oversized_empty_frame_rejected():
+    params, _ = make_code(4, 2, F5, 1)
+    frame = container.pack_header(container.header_for(params))
+    for nrows, ncols in [(0, 2 ** 63), (0, 2 ** 64 - 1), (2 ** 62, 0)]:
+        with pytest.raises(ContainerError, match="too large"):
+            container.deserialize_matrix(
+                frame + nrows.to_bytes(8, "little") + ncols.to_bytes(8, "little"))
+    empty = frame + (0).to_bytes(8, "little") + (2 ** 40).to_bytes(8, "little")
+    assert container.deserialize_matrix(empty)[1] == []
+
+
 def test_out_of_range_symbol_rejected():
     params, _ = make_code(4, 2, F5, 1)
     header = container.header_for(params)
@@ -148,6 +242,21 @@ def test_out_of_range_symbol_rejected():
     good[-1] = 5
     with pytest.raises(ContainerError):
         container.deserialize_matrix(bytes(good))
+
+
+@pytest.mark.parametrize("bad", [1.5, np.int64(3), "7", None],
+                         ids=["float", "np.int64", "str", "None"])
+def test_non_int_symbol_rejected(bad):
+    params, _ = make_code(4, 2, F5, 2)
+    with pytest.raises(ContainerError, match="is not an integer"):
+        container.serialize_matrix(container.header_for(params), [[1, bad]])
+
+
+def test_bools_pack_as_bits():
+    params, _ = make_code(4, 2, F5, 2)
+    header = container.header_for(params)
+    assert (container.serialize_matrix(header, [[True, False]])
+            == container.serialize_matrix(header, [[1, 0]]))
 
 
 def test_ragged_matrix_rejected():

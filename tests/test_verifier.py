@@ -17,7 +17,13 @@ from nxmds.errors import (
     TooFewHelpers,
 )
 from nxmds.field import FieldSpec, make_field
-from nxmds.hashing import RandomVector, draw_random_vector, make_prg_seed, prg_expand
+from nxmds.hashing import (
+    HashVector,
+    RandomVector,
+    draw_random_vector,
+    make_prg_seed,
+    prg_expand,
+)
 from nxmds.matrix import mat_vec
 from nxmds.storage import (
     ErrorPlan,
@@ -165,6 +171,18 @@ def test_liar_symbols_must_be_field_elements(f):
         with pytest.raises(FieldMismatch):
             collect_hashes(state, r, liars={1: (bad, honest[1])})
     assert collect_hashes(state, r, liars={1: honest}) == collect_hashes(state, r)
+
+
+@pytest.mark.parametrize("position", [0, 6])
+def test_verify_rejects_symbols_outside_the_field(position):
+    # symbol 0 sits in a group's first k positions, symbol 6 (node 4) does
+    # not; both must be rejected, not read mod p or flagged
+    params, G, state, rng = build()
+    H = collect_hashes(state, draw_random_vector(3, F17, rng))
+    symbols = list(H.symbols)
+    symbols[position] += F17.q
+    with pytest.raises(FieldMismatch):
+        verify(HashVector(tuple(symbols), H.provenance, H.seed_bits), params, G)
 
 
 def scalar_dot(f, u, v):
