@@ -11,7 +11,26 @@ independent classical RS decodes.
 hash_word_decode is the one rule from decoded group words to flagged
 nodes: it decodes a matrix of hash vectors, one per column, and both
 verifier.verify (one column) and the Monte Carlo engine
-(experiments.mc_failure_rate, a block of audits) go through it.
+(experiments.mc_failure_rate, a block of audits) go through it.  It
+takes one of two paths, chosen here on the field type, as matrix does:
+
+  bulk     a PrimeField whose sums of n products fit int64
+           (matrix.int64_fits): the block becomes one int64 array,
+           every symbol checked once by one vectorised range test
+           (matrix.int64_checked; verifier.verify, which takes outside
+           input, checks each symbol with field.check first).  One parity product screens every
+           group word of every column; the errored ones decode together
+           (_gao_block: one product with Gao's interpolation matrix, the
+           extended Euclid word by word in native ints, one product with
+           the evaluation rows), and one parity product confirms every
+           corrected word.  The int64 tables are cached per CodeParams.
+  scalar   any other field object (an extension field, a p past int64,
+           an instrumented wrapper such as experiments.CountingField):
+           every symbol goes through field.check, then each group is
+           screened by decode_columns and its errored words decode one
+           by one through _gao_decode, every operation a field call.
+           decode_codeword is this path for one word, and the reference
+           the bulk path is tested against.
 
 Evaluation points are the first n elements of the canonical enumeration
 0, 1, g, g^2, ... (g the field's generator), so the construction is
@@ -24,6 +43,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     BadNodeId,
     FieldTooSmall,
@@ -31,8 +52,8 @@ from .errors import (
     SingularSystem,
     TooFewNodes,
 )
-from .field import iter_elements
-from .matrix import dot, mat_mul, mat_vec
+from .field import PrimeField, iter_elements
+from .matrix import dot, int64_checked, int64_fits, mat_mul, mat_vec
 
 
 @dataclass(frozen=True)
@@ -338,14 +359,28 @@ def hash_word_decode(params: CodeParams, H) -> list[frozenset[int] | None]:
     """The verifier's rule from hash vectors to flagged nodes.  H has
     n*alpha rows, one column per hash vector in node-block order, so
     row i*alpha + g is symbol i of group g's word and H[g::alpha] holds
-    group g's word of every column.  Each group is screened by one
-    decode_columns call; per column the result is the 1-based node ids
-    at the union of its groups' error positions, or None when any group
-    word is undecodable.  A word the decoder corrected that is not a
-    codeword means the construction is broken: SingularSystem."""
+    group g's word of every column.  Every symbol must be a field
+    element (FieldMismatch otherwise).  Per column the result is the
+    1-based node ids at the union of its groups' error positions, or
+    None when any group word is undecodable.  A word the decoder
+    corrected that is not a codeword means the construction is broken:
+    SingularSystem.
+
+    Over a PrimeField whose sums of n products fit int64 the whole
+    block goes through _bulk_hash_word_decode; any other field object
+    (an extension field, a p past int64, an instrumented wrapper) takes
+    the scalar reference: each group is screened by one decode_columns
+    call, every symbol checked by the field."""
     a, n = params.alpha, params.n
     if len(H) != n * a:
         raise ShapeMismatch(f"hash vectors must have {n * a} symbols")
+    if _bulk_tables(params) is not None:
+        return _bulk_hash_word_decode(params, H)
+    if isinstance(H, np.ndarray):
+        H = H.tolist()
+    for row in H:
+        for v in row:
+            params.field.check(v)
     flagged = [set() for _ in H[0]]
     undecodable = set()
     for g in range(a):
@@ -358,3 +393,106 @@ def hash_word_decode(params: CodeParams, H) -> list[frozenset[int] | None]:
                 flagged[b].update(p + 1 for p in out.errors)
     return [None if b in undecodable else frozenset(nodes)
             for b, nodes in enumerate(flagged)]
+
+
+@lru_cache(maxsize=None)
+def _bulk_tables(params: CodeParams):
+    """_decoder_tables for the bulk path: the parity checks, the
+    interpolation matrix and the evaluation rows as int64 arrays, g0 as
+    a tuple.  None when the bulk path does not apply: the field is not a
+    PrimeField, or a sum of n products mod p could pass int64 (every
+    product of the path sums at most n)."""
+    f = params.field
+    if not isinstance(f, PrimeField) or not int64_fits(f.p, params.n):
+        return None
+    checks, g0, interp, evals = _decoder_tables(params)
+    return (np.array(checks, np.int64), g0,
+            np.array(interp, np.int64), np.array(evals, np.int64))
+
+
+def _bulk_hash_word_decode(params: CodeParams, H) -> list[frozenset[int] | None]:
+    """hash_word_decode over GF(p) in int64 arrays.  H becomes one
+    int64 array, range-checked once, and is viewed as the n x alpha*B
+    matrix of every group word of the block (column g*B + b is group
+    g's word of hash vector b).  One parity product screens them all;
+    the errored ones decode together in _gao_block, and one parity
+    product confirms every corrected word."""
+    n, k, a, p = params.n, params.k, params.alpha, params.field.p
+    checks = _bulk_tables(params)[0]
+    H = int64_checked(params.field, H)
+    B = H.shape[1]
+    words = H.reshape(n, a * B)
+    errored = np.flatnonzero(((checks @ words[:k]) % p != words[k:]).any(axis=0))
+    flagged = np.zeros((n, a * B), dtype=bool)
+    undecodable = np.zeros(a * B, dtype=bool)
+    if errored.size:
+        received = words[:, errored]
+        cw, ok = _gao_block(params, received)
+        errs = cw != received
+        if ((checks @ cw[:k, ok]) % p != cw[k:, ok]).any():
+            raise SingularSystem("corrected hash word is not a codeword")
+        flagged[:, errored[ok]] = errs[:, ok]
+        undecodable[errored[~ok]] = True
+    nodes = flagged.reshape(n, a, B).any(axis=1).T.tolist()
+    lost = undecodable.reshape(a, B).any(axis=0).tolist()
+    return [None if gone else frozenset(i for i, bad in enumerate(row, 1) if bad)
+            for row, gone in zip(nodes, lost)]
+
+
+def _gao_block(params: CodeParams, words):
+    """Gao's decoder, as in _gao_decode, on every column of the n x m
+    int64 array `words`: one product with the interpolation matrix gives
+    every word's g1, the extended Euclid runs word by word in native
+    ints (_gao_message), and one product with the evaluation rows
+    re-encodes the messages.  Returns the codewords (n x m) and the
+    mask of words whose Euclid ended in an exact division of degree < k.
+    Such a word needs no radius test: its errors lie at roots of v1, and
+    deg v1 = n - deg r0 <= (n-k)/2 when the Euclid stops."""
+    n, k, p = params.n, params.k, params.field.p
+    _, g0, interp, evals = _bulk_tables(params)
+    msgs, ok = [], []
+    for g1 in ((interp @ words) % p).T.tolist():
+        msg = _gao_message(p, n, k, g0, g1)
+        ok.append(msg is not None)
+        msgs.append(msg or [0] * k)
+    return (evals @ np.array(msgs, dtype=np.int64).T) % p, np.array(ok)
+
+
+def _gao_message(p: int, n: int, k: int, g0, g1) -> list[int] | None:
+    """_gao_decode's extended Euclid and final division over GF(p) in
+    native ints, from the interpolated g1: the k message coefficients,
+    or None when the division is not exact or its degree is >= k."""
+    r0, r1 = g0, _strip(g1)
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= n + k:  # deg r1 >= (n+k)/2
+        quot, rem = _divmod_p(p, r0, r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, _sub_mul_p(p, v0, quot, v1)
+    msg, rem = _divmod_p(p, r1, v1)
+    if rem or len(msg) > k:
+        return None
+    return msg + [0] * (k - len(msg))
+
+
+def _divmod_p(p: int, a, b) -> tuple[list[int], list[int]]:
+    """_poly_divmod over GF(p) in native ints, reducing each
+    coefficient only when it is read."""
+    r = list(a)
+    *low, lead = b
+    db = len(low)
+    inv = pow(lead, -1, p)
+    q = [0] * max(len(r) - db, 0)
+    for i in reversed(range(len(q))):
+        c = q[i] = r[i + db] * inv % p
+        for j, x in enumerate(low, i):
+            r[j] -= c * x
+    return q, _strip([x % p for x in r[:db]])
+
+
+def _sub_mul_p(p: int, a, q, b) -> list[int]:
+    """_poly_sub_mul over GF(p) in native ints: a - q*b."""
+    out = list(a) + [0] * max(len(q) + len(b) - 1 - len(a), 0)
+    for i, c in enumerate(q):
+        for j, x in enumerate(b, i):
+            out[j] -= c * x
+    return _strip([x % p for x in out])

@@ -161,6 +161,8 @@ def serialize_matrix(header: ContainerHeader, rows) -> bytes:
     frame = pack_header(header) + _u64(len(rows)) + _u64(cols)
     if any(len(row) != cols for row in rows):
         raise ContainerError("ragged matrix")
+    if rows and not cols:  # deserialize_matrix refuses such a frame
+        raise ContainerError(f"matrix {len(rows)} x 0: rows without columns")
     if width > _STAGE:
         _check_symbols(rows, q)
         return frame + b"".join(v.to_bytes(width, "little") for row in rows for v in row)
@@ -177,6 +179,8 @@ def deserialize_matrix(data: bytes) -> tuple[ContainerHeader, list[list[int]]]:
     nrows = int.from_bytes(data[pos:pos + 8], "little")
     ncols = int.from_bytes(data[pos + 8:pos + 16], "little")
     pos += 16
+    if nrows and not ncols:  # it holds no symbols, so no byte bounds nrows
+        raise ContainerError(f"matrix frame {nrows} x 0 too large: rows without columns")
     q = header.q
     width = symbol_width(q)
     need = nrows * ncols * width

@@ -16,15 +16,21 @@ then the challenge (a true-random vector or a generator seed).  Trials
 run in blocks of _BLOCK.  A block's seeds expand in one call, and
 because hashing is linear, node i's hash (C_i + E_i) r = C_i r + E_i r:
 the clean hash vectors of the whole block are the columns of one
-product C R, C encoded once per call and R the block's vectors side by
-side, and each planned node adds its E_i r into its alpha rows.  The
-block's hash vectors then go to code.hash_word_decode, the same rule
-from decoded group words to flagged nodes that verify applies to one
-vector: one parity product per group screens every audit's group word,
-only words that fail it reach the decoder, and every corrected word
-must be a codeword (SingularSystem).  Each plan must predate its
-vector (verifier.check_commitment).  An audit misses when a planned
-node is not flagged; an undecodable audit flags nothing.
+product C R^T, C encoded once per call and R the block's vectors
+stacked, and each planned node adds its E_i r into its alpha rows.
+Over a PrimeField whose length-N sums fit int64 these are int64
+arrays: C is converted once per call, R and the stacked error rows of
+a block once each, every array with one vectorised range check
+(matrix.int64_checked), and all the block's E_i r come from one stacked
+product.  Over any other field they are mat_mul and row_dots, every
+operation a field call.  The block's hash vectors then go to
+code.hash_word_decode, the same rule from decoded group words to
+flagged nodes that verify applies to one vector: it checks every
+symbol, one parity product screens the group words, only words that
+fail it reach the decoder, and every corrected word must be a codeword
+(SingularSystem).  Each plan must predate its vector
+(verifier.check_commitment).  An audit misses when a planned node is
+not flagged; an undecodable audit flags nothing.
 
 run_trial is the one-audit path through real storage (restore, corrupt,
 hash every node, verify).  It shares hash_word_decode with the engine,
@@ -46,7 +52,7 @@ import numpy as np
 
 from .code import CodeParams, encode, hash_word_decode
 from .errors import TooLargeToEnumerate
-from .field import ExtensionField, field_from_order
+from .field import ExtensionField, PrimeField, field_from_order
 from .hashing import (
     PrgSeed,
     draw_challenge,
@@ -55,7 +61,7 @@ from .hashing import (
     minimal_extension_degree,
     prg_expand,
 )
-from .matrix import dot, mat_mul, row_dots
+from .matrix import dot, int64_checked, int64_fits, mat_mul, row_dots
 from .storage import (
     ErrorPlan,
     corrupt,
@@ -83,14 +89,29 @@ class TrialResult:
     provenance: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateEstimate:
+    """A miss count over some trials, and the theorem's bound; the
+    estimate, its standard error and the 3-sigma interval derive from
+    the counts."""
+
     trials: int
     failures: int
-    estimate: float
-    sigma: float
-    interval: tuple[float, float]
     bound: float
+
+    @property
+    def estimate(self) -> float:
+        return self.failures / self.trials
+
+    @property
+    def sigma(self) -> float:
+        est = self.estimate
+        return math.sqrt(est * (1 - est) / self.trials)
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        est, sigma = self.estimate, self.sigma
+        return max(0.0, est - 3 * sigma), min(1.0, est + 3 * sigma)
 
 
 def run_trial(state, model: str, t: int, kind: str, rng, *,
@@ -129,6 +150,9 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
         np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_DATA,))
     )
     C = encode(params, None, random_data(params, data_rng))  # encode never reads G
+    fld = params.field
+    if isinstance(fld, PrimeField) and int64_fits(fld.p, params.N):
+        C = int64_checked(fld, C)  # the bulk path, see _block_misses
     failures = 0
     for start in range(0, trials, _BLOCK):
         plans, drawn = [], []
@@ -140,25 +164,18 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
                          if t else None)
             drawn.append(draw_challenge(params, kind, rng))
         failures += _block_misses(params, C, plans, expand_challenges(drawn, params.N))
-    est = failures / trials
-    sigma = math.sqrt(est * (1 - est) / trials)
-    return RateEstimate(
-        trials=trials,
-        failures=failures,
-        estimate=est,
-        sigma=sigma,
-        interval=(max(0.0, est - 3 * sigma), min(1.0, est + 3 * sigma)),
-        bound=theoretical_bound(params, kind),
-    )
+    return RateEstimate(trials, failures, theoretical_bound(params, kind))
 
 
 def _block_misses(params: CodeParams, C, plans, vectors) -> int:
     """Missed audits in a block: audit b commits plans[b] (None when
-    t = 0) and is hashed on vectors[b]."""
+    t = 0) and is hashed on vectors[b].  When C is an int64 array (a
+    PrimeField whose length-N sums fit int64) the block's hash vectors
+    are built in int64 arrays, each range-checked once; otherwise by
+    mat_mul and row_dots, which route every operation through the field."""
     fld, a = params.field, params.alpha
-    # column b of H is audit b's hash vector: first the clean C r ...
-    H = mat_mul(fld, C, [list(col) for col in zip(*(r.symbols for r in vectors))])
-    rows, vecs, cells = [], [], []
+    R = [r.symbols for r in vectors]
+    rows, cells = [], []  # error rows, and the (hash row, audit) each adds into
     for b, (plan, r) in enumerate(zip(plans, vectors)):
         if plan is None:
             continue
@@ -166,11 +183,20 @@ def _block_misses(params: CodeParams, C, plans, vectors) -> int:
         for i, E in plan.entries:
             for g, row in enumerate(E):
                 rows.append(row)
-                vecs.append(r.symbols)
                 cells.append(((i - 1) * a + g, b))
-    # ... then E_i r into the alpha rows of every planned node
-    for (h, b), v in zip(cells, row_dots(fld, rows, vecs)):
-        H[h][b] = fld.add(H[h][b], v)
+    # column b of H is audit b's hash vector: first the clean C r, then
+    # E_i r into the alpha rows of every planned node
+    if isinstance(C, np.ndarray):
+        p = fld.p
+        R = int64_checked(fld, R)
+        H = C @ R.T % p
+        if rows:
+            h, b = np.array(cells).T
+            H[h, b] = (H[h, b] + (int64_checked(fld, rows) * R[b]).sum(axis=1)) % p
+    else:
+        H = mat_mul(fld, C, [list(col) for col in zip(*R)])
+        for (h, b), v in zip(cells, row_dots(fld, rows, [R[b] for _, b in cells])):
+            H[h][b] = fld.add(H[h][b], v)
     return sum(plan is not None and not plan.nodes <= (flagged or set())
                for plan, flagged in zip(plans, hash_word_decode(params, H)))
 

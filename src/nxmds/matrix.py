@@ -16,6 +16,11 @@ bulk path over prime fields:
   the rest     native Python ints with a single % p; at the shapes in
                play numpy's per-call cost outweighs the work
 
+int64_checked is the entry of callers that keep their own int64 arrays
+(code's bulk decoder, the Monte Carlo engine's hash products): one
+vectorised test that every entry is an integer in [0, p), instead of a
+per-entry check on every call.
+
 Any other field object (an extension field, or an instrumented wrapper
 such as experiments.CountingField) takes the scalar path: every
 operation goes through the field, which checks its operands.  dot and
@@ -25,11 +30,12 @@ native integer arithmetic with a single final reduction.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import FieldMismatch, ShapeMismatch
 from .field import PrimeField
 
 _INT64_MAX = 2 ** 63 - 1
@@ -76,6 +82,27 @@ def _prime_checked(field, *mats) -> int | None:
                 if type(x) is not int or not 0 <= x < p:
                     field.check(x)  # raises unless x is an in-range int subclass
     return p
+
+
+def int64_checked(field, rows) -> np.ndarray:
+    """`rows`, nested lists or an array, as a 2-D numpy int64 array whose
+    every entry passed one vectorised test of being an element of the
+    PrimeField `field`: an integer in [0, p).  The test reads the array's
+    dtype, so numpy integer scalars pass, which field.check refuses.
+    When the test fails, the entries go through field.check in row-major
+    order, so FieldMismatch names the first bad one."""
+    try:
+        arr = np.asarray(rows)
+    except ValueError as exc:  # ragged rows
+        raise ShapeMismatch("rows must share one length") from exc
+    if arr.ndim != 2:
+        raise ShapeMismatch(f"expected a matrix, got {arr.ndim} dimension(s)")
+    if arr.size and (arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() >= field.p):
+        entries = arr.tolist() if isinstance(rows, np.ndarray) else rows
+        for x in itertools.chain.from_iterable(entries):
+            field.check(x)
+        raise FieldMismatch(f"entries of dtype {arr.dtype} are not elements of {field!r}")
+    return arr.astype(np.int64, copy=False)
 
 
 def mat_mul(field, a, b) -> list[list[int]]:

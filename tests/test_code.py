@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nxmds import code, matrix
 from nxmds.code import (
     CodeParams,
     DecodeOutcome,
     decode_codeword,
+    decode_columns,
     encode,
     erasure_decode,
     hash_word_decode,
@@ -18,13 +21,14 @@ from nxmds.code import (
 )
 from nxmds.errors import (
     BadNodeId,
+    FieldMismatch,
     FieldTooSmall,
     ShapeMismatch,
     SingularSystem,
     TooFewNodes,
 )
-from nxmds.field import make_field
-from nxmds.matrix import dot, mat_mul, mat_vec, row_rank
+from nxmds.field import is_prime, make_field
+from nxmds.matrix import dot, int64_fits, mat_mul, mat_vec, row_rank
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -426,6 +430,103 @@ def test_hash_word_decode_shape():
     for rows in (7, 9):
         with pytest.raises(ShapeMismatch):
             hash_word_decode(params, [[0, 0]] * rows)
+
+
+def replay_flags(params, column):
+    """Flags of one hash vector by the scalar reference, group word by
+    group word through decode_codeword: None when some word is
+    undecodable."""
+    a, n = params.alpha, params.n
+    flagged = set()
+    for g in range(a):
+        out = decode_codeword(params, [column[i * a + g] for i in range(n)])
+        if not out.ok:
+            return None
+        flagged.update(p + 1 for p in out.errors)
+    return frozenset(flagged)
+
+
+def edge_primes(n):
+    """The largest prime p whose sums of n products mod p fit int64, and
+    the next prime, whose sums do not."""
+    above = math.isqrt(matrix._INT64_MAX // n) + 2
+    while not is_prime(above):
+        above += 1
+    below = above - 1
+    while not is_prime(below):
+        below -= 1
+    return below, above
+
+
+EDGE_P, PAST_EDGE_P = edge_primes(6)
+# (q, n, k): t1 = 1 to 4, and the largest p the bulk path takes at n = 6
+BULK_CASES = {"GF3": (3, 3, 1), "GF7": (7, 6, 2), "GF17": (17, 7, 3),
+              "GF257": (257, 12, 6), "GF65537": (65537, 10, 2), "edge": (EDGE_P, 6, 2)}
+
+
+@st.composite
+def corrupted_hash_block(draw, q, n, k):
+    """(params, H): 1-4 hash vectors of random data, in the columns of H,
+    each with 0 to t1 + 2 bad nodes (node 1, evaluation point 0, among
+    them when drawn) whose symbols move by drawn offsets, 0 included."""
+    B = draw(st.integers(1, 4))
+    params = CodeParams(n, k, make_field(q), B)
+    a, t1 = params.alpha, params.t1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    H = encode(params, None, random_matrix(rng, k * a, B, q))
+    for b in range(B):
+        bad = draw(st.sets(st.integers(0, n - 1), max_size=min(n, t1 + 2)))
+        if draw(st.booleans()):
+            bad = {0, *list(bad)[:t1 + 1]}
+        for i in bad:
+            for g in range(a):
+                H[i * a + g][b] = (H[i * a + g][b] + draw(st.integers(0, q - 1))) % q
+    return params, H
+
+
+@pytest.mark.parametrize("q,n,k", BULK_CASES.values(), ids=BULK_CASES.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bulk_hash_word_decode_matches_scalar_replay(q, n, k, data):
+    params, H = data.draw(corrupted_hash_block(q, n, k))
+    assert code._bulk_tables(params) is not None
+    want = [replay_flags(params, column) for column in zip(*H)]
+    assert hash_word_decode(params, H) == want
+
+
+def test_edge_primes_straddle_int64():
+    assert int64_fits(EDGE_P, 6) and not int64_fits(PAST_EDGE_P, 6)
+
+
+@pytest.mark.parametrize("f", [make_field(3000000019), make_field(PAST_EDGE_P),
+                               make_field(3, 2), make_field(2, 3)],
+                         ids=["p3000000019", "past-edge", "GF9", "GF8"])
+def test_scalar_fields_take_the_scalar_path(monkeypatch, f):
+    params = CodeParams(6, 2, f, 3)
+    a = params.alpha
+    H = encode(params, None, random_matrix(np.random.default_rng(41), 2 * a, 3, f.q))
+    for g in range(a):  # node 1 misreports in hash vector 0
+        H[g][0] = f.add(H[g][0], 1)
+    screened = []
+
+    def spy(params, words):
+        screened.append(len(words[0]))
+        return decode_columns(params, words)
+
+    monkeypatch.setattr(code, "decode_columns", spy)
+    monkeypatch.setattr(code, "_gao_block", lambda *args: pytest.fail("bulk decode"))
+    assert code._bulk_tables(params) is None
+    assert hash_word_decode(params, H) == [frozenset({1}), frozenset(), frozenset()]
+    assert screened == [3] * a
+
+
+def test_bulk_hash_word_decode_checks_every_symbol():
+    params = CodeParams(4, 2, make_field(17), 2)
+    for value, row in [(17, 0), (-1, 7), (1.0, 5), (2 ** 64, 3)]:
+        H = [[0, 0] for _ in range(8)]
+        H[row][1] = value
+        with pytest.raises(FieldMismatch, match="is not an element of GF"):
+            hash_word_decode(params, H)
 
 
 def test_codeparams_cache_friendly():

@@ -233,6 +233,19 @@ def test_oversized_empty_frame_rejected():
     assert container.deserialize_matrix(empty)[1] == []
 
 
+def test_rows_without_columns_rejected():
+    # a 73-byte frame declaring 2^20 x 0 parsed into 2^20 empty rows
+    params, _ = make_code(4, 2, F5, 1)
+    frame = container.pack_header(container.header_for(params))
+    for nrows in (1, 2 ** 20, 2 ** 64 - 1):
+        blob = frame + nrows.to_bytes(8, "little") + (0).to_bytes(8, "little")
+        with pytest.raises(ContainerError, match="rows without columns"):
+            container.deserialize_matrix(blob)
+    # nor is such a frame written
+    with pytest.raises(ContainerError, match="rows without columns"):
+        container.serialize_matrix(container.header_for(params), [[], []])
+
+
 def test_out_of_range_symbol_rejected():
     params, _ = make_code(4, 2, F5, 1)
     header = container.header_for(params)

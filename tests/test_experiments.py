@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nxmds import code, experiments
-from nxmds.code import CodeParams, DecodeOutcome, make_code
+from nxmds.code import CodeParams, make_code
 from nxmds.errors import CommitmentViolation, SingularSystem, TooLargeToEnumerate
 from nxmds.experiments import (
     CountingField,
@@ -153,11 +153,11 @@ def test_engine_rejects_late_plan(monkeypatch):
 
 
 def test_engine_checks_corrected_words(monkeypatch):
-    # a decoder that hands back its input, which is not a codeword
-    def broken(params, word):
-        return DecodeOutcome(True, word, word[:params.k], frozenset({0}))
+    # a decoder that hands back its input words, which are not codewords
+    def broken(params, words):
+        return words, np.ones(words.shape[1], dtype=bool)
 
-    monkeypatch.setattr(code, "_gao_decode", broken)
+    monkeypatch.setattr(code, "_gao_block", broken)
     params = CodeParams(4, 2, F5, 3)
     with pytest.raises(SingularSystem):
         mc_failure_rate(params, "random-dense", 1, "true-random", 5, 0)
