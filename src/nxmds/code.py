@@ -53,7 +53,7 @@ from .errors import (
     TooFewNodes,
 )
 from .field import PrimeField, iter_elements
-from .matrix import dot, int64_checked, int64_fits, mat_mul, mat_vec
+from .matrix import dot, int64_checked, int64_fits, mat_mul, mat_vec, prime_checked
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,48 @@ def node_rows(params: CodeParams, i: int) -> range:
 def encode(params: CodeParams, G: GeneratorMatrix, X) -> list[list[int]]:
     """Column-wise encoding: output row i*alpha+g is symbol i of group g's
     RS codeword: group g's k message rows times the n x k transpose
-    of G.rs (the cached interpolation weights at anchors 0..k-1)."""
+    of G.rs (the cached interpolation weights at anchors 0..k-1).
+
+    Every symbol must be a field element (FieldMismatch otherwise).  Over
+    a PrimeField whose sums of k products fit int64 the symbols pass one
+    type-and-range test each (matrix.prime_checked) and go through
+    encode_array; over any other field each group is one mat_mul, every
+    operation a field call."""
     a, k, n, N = params.alpha, params.k, params.n, params.N
     if len(X) != k * a or any(len(row) != N for row in X):
         raise ShapeMismatch(f"data must be {k * a} x {N}")
+    if _int64_generator(params) is not None:
+        prime_checked(params.field, X)
+        return encode_array(params, np.array(X, dtype=np.int64)).tolist()
     W = _subset_weights(params, tuple(range(k)))  # n x k
-    C = [None] * (n * a)
-    for g in range(a):
-        cw_rows = mat_mul(params.field, W, X[g * k:(g + 1) * k])
-        for i in range(n):
-            C[i * a + g] = cw_rows[i]
-    return C
+    groups = [mat_mul(params.field, W, X[g * k:(g + 1) * k]) for g in range(a)]
+    return [groups[g][i] for i in range(n) for g in range(a)]
+
+
+def encode_array(params: CodeParams, X: np.ndarray) -> np.ndarray:
+    """encode over a PrimeField, from and to int64 arrays: X is the
+    k*alpha x N data, whose entries must already be field elements (an
+    rng's draw in [0, p), or data encode checked); they are not checked
+    again.  When the field's sums of k products fit int64 this is one
+    batched product of the n x k weights with all alpha groups,
+    interleaved by node; otherwise it is encode's per-group path."""
+    W = _int64_generator(params)
+    if W is None:
+        return np.array(encode(params, None, X.tolist()), dtype=np.int64)
+    a, k, n, N = params.alpha, params.k, params.n, params.N
+    groups = W @ X.reshape(a, k, N) % params.field.p  # alpha x n x N
+    return groups.transpose(1, 0, 2).reshape(n * a, N)
+
+
+@lru_cache(maxsize=None)
+def _int64_generator(params: CodeParams):
+    """encode's weights (_subset_weights at anchors 0..k-1) as an n x k
+    int64 array; None unless the field is a PrimeField whose sums of k
+    products fit int64."""
+    f = params.field
+    if not isinstance(f, PrimeField) or not int64_fits(f.p, params.k):
+        return None
+    return np.array(_subset_weights(params, tuple(range(params.k))), dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

@@ -19,11 +19,12 @@ the clean hash vectors of the whole block are the columns of one
 product C R^T, C encoded once per call and R the block's vectors
 stacked, and each planned node adds its E_i r into its alpha rows.
 Over a PrimeField whose length-N sums fit int64 these are int64
-arrays: C is converted once per call, R and the stacked error rows of
-a block once each, every array with one vectorised range check
-(matrix.int64_checked), and all the block's E_i r come from one stacked
-product.  Over any other field they are mat_mul and row_dots, every
-operation a field call.  The block's hash vectors then go to
+arrays.  C is encoded once per call by code.encode_array, straight from
+the int64 data array the rng returns, so its entries need no check; R
+and the stacked error rows of a block are converted once each, with
+one vectorised range check (matrix.int64_checked), and all the block's
+E_i r come from one stacked product.  Over any other field they are
+mat_mul and row_dots, every operation a field call.  The block's hash vectors then go to
 code.hash_word_decode, the same rule from decoded group words to
 flagged nodes that verify applies to one vector: it checks every
 symbol, one parity product screens the group words, only words that
@@ -50,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .code import CodeParams, encode, hash_word_decode
+from .code import CodeParams, encode, encode_array, hash_word_decode
 from .errors import TooLargeToEnumerate
 from .field import ExtensionField, PrimeField, field_from_order
 from .hashing import (
@@ -65,7 +66,6 @@ from .matrix import dot, int64_checked, int64_fits, mat_mul, row_dots
 from .storage import (
     ErrorPlan,
     corrupt,
-    random_data,
     sample_error_plan,
     true_error_set,
 )
@@ -149,10 +149,13 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
     data_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_DATA,))
     )
-    C = encode(params, None, random_data(params, data_rng))  # encode never reads G
     fld = params.field
+    # random_data's draw, kept as the rng's int64 array
+    X = data_rng.integers(0, fld.q, size=(params.k * params.alpha, params.N))
     if isinstance(fld, PrimeField) and int64_fits(fld.p, params.N):
-        C = int64_checked(fld, C)  # the bulk path, see _block_misses
+        C = encode_array(params, X)  # the bulk path, see _block_misses
+    else:
+        C = encode(params, None, X.tolist())  # encode never reads G
     failures = 0
     for start in range(0, trials, _BLOCK):
         plans, drawn = [], []
@@ -313,7 +316,8 @@ def lemma1_check(q: int, count: int):
             for b in range(q):
                 new[fld.add(a, b)] += pa * u
         dist = new
-    assert all(p == u for p in dist), "convolution left the uniform law"
+    if any(p != u for p in dist):
+        raise ArithmeticError("convolution left the uniform law")
     return tuple(dist)
 
 

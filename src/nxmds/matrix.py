@@ -7,8 +7,9 @@ bulk path over prime fields:
 
   check once   mat_mul, row_dots, mat_add, mat_sub and row_rank first
                test every input entry with the test of PrimeField.check
-               (an int in [0, p), else FieldMismatch), then compute with
-               no per-operation call
+               (prime_checked: an int in [0, p), else FieldMismatch),
+               then compute with no per-operation call; code.encode
+               runs the same test before its batched int64 product
   mat_mul      numpy int64 products reduced mod p; when a sum of
   row_dots     products could pass 2^63 - 1 (int64_fits fails, e.g. for
                the p ~ 3*10^9 that `params` picks at M = 10^9 bits) they
@@ -70,7 +71,7 @@ def mat_vec(field, rows, v) -> list[int]:
     return [_inner(field, row, v) for row in rows]
 
 
-def _prime_checked(field, *mats) -> int | None:
+def prime_checked(field, *mats) -> int | None:
     """p once every entry of every matrix has passed PrimeField.check;
     None when the field is not a PrimeField (the scalar path)."""
     if not isinstance(field, PrimeField):
@@ -110,7 +111,7 @@ def mat_mul(field, a, b) -> list[list[int]]:
         return []
     if any(len(row) != len(b) for row in a) or any(len(row) != len(b[0]) for row in b):
         raise ShapeMismatch(f"mat_mul of {len(a)}x{len(a[0])} and {len(b)}x{len(b[0])}")
-    p = _prime_checked(field, a, b)
+    p = prime_checked(field, a, b)
     if p is not None and int64_fits(p, len(b)):
         prod = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
         return (prod % p).tolist()
@@ -126,7 +127,7 @@ def row_dots(field, a, b) -> list[int]:
         raise ShapeMismatch("row_dots needs paired rows of one length")
     if not a:
         return []
-    p = _prime_checked(field, a, b)
+    p = prime_checked(field, a, b)
     if p is not None and int64_fits(p, N):
         prod = np.array(a, dtype=np.int64) * np.array(b, dtype=np.int64)
         return (prod.sum(axis=1) % p).tolist()
@@ -140,7 +141,7 @@ def _same_shape(a, b, name):
 
 def mat_add(field, a, b) -> list[list[int]]:
     _same_shape(a, b, "mat_add")
-    p = _prime_checked(field, a, b)
+    p = prime_checked(field, a, b)
     if p is None:
         return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -148,7 +149,7 @@ def mat_add(field, a, b) -> list[list[int]]:
 
 def mat_sub(field, a, b) -> list[list[int]]:
     _same_shape(a, b, "mat_sub")
-    p = _prime_checked(field, a, b)
+    p = prime_checked(field, a, b)
     if p is None:
         return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     return [[(x - y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -159,7 +160,7 @@ def row_rank(field, rows) -> int:
     remaining row as pivot and clears its leading column from the rows
     not yet used, without scaling the pivot; rows that become zero drop
     out, so the scan stops once every remaining row is zero."""
-    p = _prime_checked(field, rows)
+    p = prime_checked(field, rows)
     if p is None:
         def eliminate(row, col, pivot, inv):
             c = field.mul(row[col], inv)

@@ -14,12 +14,24 @@ Error models:
     null-against-vector  every row orthogonal to a given target vector;
                          a negative control that forces a miss when the
                          challenge vector equals the target
+
+sample_error_plan builds each matrix once from the rng's int64 draws.
+A rank-1 E is the outer product of the drawn coefficients and base row,
+a rank-f E the product of the drawn coefficients and bases: one int64
+product mod p over a PrimeField whose sums fit int64 (_product),
+mat_mul over any other field.  The declared rank is checked by code
+that runs under python -O too: a rank-1 E must pass _check_rank_one, an
+O(alpha N) test of every 2 x 2 minor through its first nonzero entry,
+and a rank-f E is redrawn until row_rank gives f.  The stored entries
+are tuples of Python ints.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import clock
 from .code import CodeParams, GeneratorMatrix, encode
@@ -30,7 +42,8 @@ from .errors import (
     NoGroundTruth,
     ShapeMismatch,
 )
-from .matrix import mat_add, mat_mul, row_rank
+from .field import PrimeField
+from .matrix import int64_fits, mat_add, mat_mul, row_rank
 
 MODELS = ("single-cell", "random-dense", "rank-1", "rank-f", "null-against-vector")
 
@@ -198,10 +211,10 @@ def extract(params: CodeParams, X) -> bytes:
 
 # -- adversary samplers ----------------------------------------------------
 
-def _nonzero_row(rng, q: int, N: int) -> list[int]:
+def _nonzero_row(rng, q: int, N: int) -> np.ndarray:
     while True:
-        row = rng.integers(0, q, size=N).tolist()
-        if any(row):
+        row = rng.integers(0, q, size=N)
+        if np.count_nonzero(row):
             return row
 
 
@@ -219,10 +232,36 @@ def _orthogonal_row(rng, field, target) -> list[int]:
             return row
 
 
+def _product(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the field for int64 arrays whose entries are field
+    elements (drawn by the rng, or products of such), which are not
+    checked again: one int64 product mod p over a PrimeField whose sums
+    of len(b) products fit int64, otherwise mat_mul."""
+    if isinstance(field, PrimeField) and int64_fits(field.p, len(b)):
+        return a @ b % field.p
+    return np.array(mat_mul(field, a.tolist(), b.tolist()), dtype=np.int64)
+
+
+def _check_rank_one(field, E: np.ndarray, node: int) -> None:
+    """Raise unless E is nonzero and every entry satisfies
+    E[r, c] E[r0, c0] = E[r, c0] E[r0, c], (r0, c0) the first nonzero
+    entry: E is then the outer product of its column c0 and row r0
+    scaled by 1/E[r0, c0], so of rank 1.  Two products of one-term
+    sums, alpha x N entries each."""
+    nonzero = np.flatnonzero(E)
+    if not nonzero.size:
+        raise RuntimeError(f"rank-1 error matrix of node {node} is zero")
+    r0, c0 = divmod(int(nonzero[0]), E.shape[1])
+    scaled = _product(field, E[r0:r0 + 1, c0:c0 + 1], E.reshape(1, -1))
+    if (scaled.reshape(E.shape) != _product(field, E[:, c0:c0 + 1], E[r0:r0 + 1])).any():
+        raise RuntimeError(f"rank-1 error matrix of node {node} has rank above 1")
+
+
 def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
                       f: int | None = None, target=None) -> ErrorPlan:
     """Draw a committed plan: W is a uniform t-subset of nodes, with
-    per-node error matrices per the model.  rng is a numpy Generator."""
+    per-node error matrices per the model.  rng is a numpy Generator;
+    the module docstring says how E is built and its rank checked."""
     if model not in MODELS:
         raise BadModel(f"unknown error model {model!r}")
     n, a, N = params.n, params.alpha, params.N
@@ -253,28 +292,28 @@ def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
             c = int(rng.integers(N))
             E[r][c] = 1 + int(rng.integers(q - 1))
         elif model == "random-dense":
-            E = [_nonzero_row(rng, q, N) for _ in range(a)]
+            E = [_nonzero_row(rng, q, N).tolist() for _ in range(a)]
         elif model == "rank-1":
             base = _nonzero_row(rng, q, N)
             while True:
-                coeffs = rng.integers(0, q, size=a).tolist()
-                if any(coeffs):
+                coeffs = rng.integers(0, q, size=a)
+                if np.count_nonzero(coeffs):
                     break
-            E = mat_mul(fld, [[c] for c in coeffs], [base])
+            outer = _product(fld, coeffs[:, None], base[None, :])
+            _check_rank_one(fld, outer, i)
+            E = outer.tolist()
         elif model == "rank-f":
             while True:
-                bases = [_nonzero_row(rng, q, N) for _ in range(f)]
-                if row_rank(fld, bases) == f:
+                bases = np.array([_nonzero_row(rng, q, N) for _ in range(f)])
+                if row_rank(fld, bases.tolist()) == f:
                     break
             while True:
-                coeffs = [rng.integers(0, q, size=f).tolist() for _ in range(a)]
-                E = mat_mul(fld, coeffs, bases)
+                coeffs = np.array([rng.integers(0, q, size=f) for _ in range(a)])
+                E = _product(fld, coeffs, bases).tolist()
                 if row_rank(fld, E) == f:
                     break
         else:
             E = [_orthogonal_row(rng, fld, list(target)) for _ in range(a)]
-        entries.append((i, tuple(tuple(row) for row in E)))
-        if declared is not None:
-            assert row_rank(fld, entries[-1][1]) == declared
+        entries.append((i, tuple(map(tuple, E))))
 
     return ErrorPlan(tuple(entries), model, declared_rank=declared)

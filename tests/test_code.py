@@ -498,6 +498,53 @@ def test_edge_primes_straddle_int64():
     assert int64_fits(EDGE_P, 6) and not int64_fits(PAST_EDGE_P, 6)
 
 
+def polynomial_data(rng, params):
+    """(X, C): for each group and column a drawn polynomial of degree < k,
+    X holding its values at the first k evaluation points and C its
+    values at all n, by Horner evaluation (oracles.poly_eval), with no
+    interpolation."""
+    f, a, k, N = params.field, params.alpha, params.k, params.N
+    X = [[0] * N for _ in range(k * a)]
+    C = [[0] * N for _ in range(params.n * a)]
+    for g in range(a):
+        for c in range(N):
+            coeffs = [int(v) for v in rng.integers(0, f.q, size=k)]
+            for i, x in enumerate(params.eval_points):
+                C[i * a + g][c] = y = oracles.poly_eval(f, coeffs, x)
+                if i < k:
+                    X[g * k + i][c] = y
+    return X, C
+
+
+# (code, whether encode takes the batched int64 route): EDGE_P is the
+# largest prime whose sums of 6 products fit int64, so at k = 6 it is the
+# largest p of that route, and PAST_EDGE_P takes the per-group mat_mul
+ENCODE_CASES = {"GF257": (CodeParams(8, 6, make_field(257), 5), True),
+                "edge": (CodeParams(8, 6, make_field(EDGE_P), 5), True),
+                "past-edge": (CodeParams(8, 6, make_field(PAST_EDGE_P), 5), False),
+                "GF9": (CodeParams(7, 5, make_field(3, 2), 5), False)}
+
+
+@pytest.mark.parametrize("params,batched", ENCODE_CASES.values(), ids=ENCODE_CASES.keys())
+def test_encode_matches_polynomial_evaluation(params, batched):
+    X, C = polynomial_data(np.random.default_rng(params.field.q % 1000), params)
+    assert (code._int64_generator(params) is not None) == batched
+    assert encode(params, None, X) == C
+    if params.field.s == 1:
+        got = code.encode_array(params, np.array(X, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == C
+
+
+@pytest.mark.parametrize("f", [make_field(257), make_field(EDGE_P)], ids=["GF257", "edge"])
+@pytest.mark.parametrize("value", [np.int64(3), -1, "p"])
+def test_encode_rejects_non_elements(f, value):
+    params = CodeParams(8, 6, f, 2)
+    X = [[0, 1] for _ in range(12)]
+    X[7][1] = f.p if value == "p" else value
+    with pytest.raises(FieldMismatch, match="is not an element of GF"):
+        encode(params, None, X)
+
+
 @pytest.mark.parametrize("f", [make_field(3000000019), make_field(PAST_EDGE_P),
                                make_field(3, 2), make_field(2, 3)],
                          ids=["p3000000019", "past-edge", "GF9", "GF8"])

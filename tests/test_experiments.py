@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from nxmds import code, experiments
 from nxmds.code import CodeParams, make_code
 from nxmds.errors import CommitmentViolation, SingularSystem, TooLargeToEnumerate
@@ -130,6 +131,33 @@ def test_engine_matches_run_trial_replay(q, kind):
         misses += est.failures
     if q < 10:
         assert misses > 0  # small fields miss often enough to test the count
+
+
+@pytest.mark.parametrize("q", [257, 1239850223], ids=["GF257", "edge"])
+def test_engine_encodes_the_drawn_data(monkeypatch, q):
+    """The engine's int64 C is the code of its data draw: every group
+    word equals textbook Lagrange interpolation (oracles.lagrange_values)
+    through its first k symbols.  1239850223 is the largest prime whose
+    sums of 6 products fit int64."""
+    params = CodeParams(8, 6, make_field(q), 4)
+    seen = []
+
+    def spy(params, X):
+        seen.append((X, code.encode_array(params, X)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(experiments, "encode_array", spy)
+    mc_failure_rate(params, "rank-1", 1, "true-random", 3, 17)
+    (X, C), = seen
+    data_rng = np.random.default_rng(np.random.SeedSequence(entropy=17, spawn_key=(0,)))
+    assert X.tolist() == random_data(params, data_rng)
+    assert C.dtype == np.int64
+    a, k, pts = params.alpha, params.k, params.eval_points
+    for g in range(a):
+        for column in range(params.N):
+            known = [(pts[d], X[g * k + d, column].item()) for d in range(k)]
+            want = oracles.lagrange_values(params.field, known, pts)
+            assert C[g::a, column].tolist() == want
 
 
 @pytest.mark.parametrize("block", [1, 3, experiments._BLOCK])
