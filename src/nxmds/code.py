@@ -12,25 +12,15 @@ hash_word_decode is the one rule from decoded group words to flagged
 nodes: it decodes a matrix of hash vectors, one per column, and both
 verifier.verify (one column) and the Monte Carlo engine
 (experiments.mc_failure_rate, a block of audits) go through it.  It
-takes one of two paths, chosen here on the field type, as matrix does:
-
-  bulk     a PrimeField whose sums of n products fit int64
-           (matrix.int64_fits): the block becomes one int64 array,
-           every symbol checked once by one vectorised range test
-           (matrix.int64_checked; verifier.verify, which takes outside
-           input, checks each symbol with field.check first).  One parity product screens every
-           group word of every column; the errored ones decode together
-           (_gao_block: one product with Gao's interpolation matrix, the
-           extended Euclid word by word in native ints, one product with
-           the evaluation rows), and one parity product confirms every
-           corrected word.  The int64 tables are cached per CodeParams.
-  scalar   any other field object (an extension field, a p past int64,
-           an instrumented wrapper such as experiments.CountingField):
-           every symbol goes through field.check, then each group is
-           screened by decode_columns and its errored words decode one
-           by one through _gao_decode, every operation a field call.
-           decode_codeword is this path for one word, and the reference
-           the bulk path is tested against.
+runs on the field's array kernel (matrix.kernel), for every field: the
+block becomes one kernel array, every symbol checked once by the
+kernel's asarray.  One parity product screens every group word of every
+column; the errored ones decode together (_gao_block: one product with
+Gao's interpolation matrix, the extended Euclid word by word, one
+product with the evaluation rows), and one parity product confirms
+every corrected word.  encode is one stacked product of the same
+kernel.  The fixed arrays are cached per CodeParams (_tables), and
+decode_codeword is the one-column case.
 
 Evaluation points are the first n elements of the canonical enumeration
 0, 1, g, g^2, ... (g the field's generator), so the construction is
@@ -52,8 +42,8 @@ from .errors import (
     SingularSystem,
     TooFewNodes,
 )
-from .field import PrimeField, iter_elements
-from .matrix import dot, int64_checked, int64_fits, mat_mul, mat_vec, prime_checked
+from .field import iter_elements
+from .matrix import kernel, mat_mul
 
 
 @dataclass(frozen=True)
@@ -127,46 +117,24 @@ def encode(params: CodeParams, G: GeneratorMatrix, X) -> list[list[int]]:
     RS codeword: group g's k message rows times the n x k transpose
     of G.rs (the cached interpolation weights at anchors 0..k-1).
 
-    Every symbol must be a field element (FieldMismatch otherwise).  Over
-    a PrimeField whose sums of k products fit int64 the symbols pass one
-    type-and-range test each (matrix.prime_checked) and go through
-    encode_array; over any other field each group is one mat_mul, every
-    operation a field call."""
-    a, k, n, N = params.alpha, params.k, params.n, params.N
+    Every symbol must be a field element (FieldMismatch otherwise): the
+    data is checked by the kernel's asarray, then encoded by
+    encode_array."""
+    a, k, N = params.alpha, params.k, params.N
     if len(X) != k * a or any(len(row) != N for row in X):
         raise ShapeMismatch(f"data must be {k * a} x {N}")
-    if _int64_generator(params) is not None:
-        prime_checked(params.field, X)
-        return encode_array(params, np.array(X, dtype=np.int64)).tolist()
-    W = _subset_weights(params, tuple(range(k)))  # n x k
-    groups = [mat_mul(params.field, W, X[g * k:(g + 1) * k]) for g in range(a)]
-    return [groups[g][i] for i in range(n) for g in range(a)]
+    return encode_array(params, kernel(params.field).asarray(X)).tolist()
 
 
 def encode_array(params: CodeParams, X: np.ndarray) -> np.ndarray:
-    """encode over a PrimeField, from and to int64 arrays: X is the
+    """encode from and to arrays of the field's kernel: X is the
     k*alpha x N data, whose entries must already be field elements (an
-    rng's draw in [0, p), or data encode checked); they are not checked
-    again.  When the field's sums of k products fit int64 this is one
-    batched product of the n x k weights with all alpha groups,
-    interleaved by node; otherwise it is encode's per-group path."""
-    W = _int64_generator(params)
-    if W is None:
-        return np.array(encode(params, None, X.tolist()), dtype=np.int64)
+    rng's draw, or data the kernel's asarray checked); they are not
+    checked again.  One stacked product of the n x k weights with all
+    alpha groups, interleaved by node."""
     a, k, n, N = params.alpha, params.k, params.n, params.N
-    groups = W @ X.reshape(a, k, N) % params.field.p  # alpha x n x N
-    return groups.transpose(1, 0, 2).reshape(n * a, N)
-
-
-@lru_cache(maxsize=None)
-def _int64_generator(params: CodeParams):
-    """encode's weights (_subset_weights at anchors 0..k-1) as an n x k
-    int64 array; None unless the field is a PrimeField whose sums of k
-    products fit int64."""
-    f = params.field
-    if not isinstance(f, PrimeField) or not int64_fits(f.p, params.k):
-        return None
-    return np.array(_subset_weights(params, tuple(range(params.k))), dtype=np.int64)
+    groups = kernel(params.field).matmul(_tables(params)[0], X.reshape(a, k, N))
+    return groups.transpose(1, 0, 2).reshape(n * a, N)  # groups: alpha x n x N
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +236,7 @@ def _poly_divmod(f, a, b) -> tuple[list[int], list[int]]:
     inv = f.inv(lead)
     q = [0] * max(len(r) - db, 0)
     for i in reversed(range(len(q))):
-        c = q[i] = f.mul(r[i + db], inv)
+        c = q[i] = r[i + db] * inv % f.p if f.s == 1 else f.mul(r[i + db], inv)
         for j, x in enumerate(low, i):
             r[j] = (r[j] - c * x) % f.p if f.s == 1 else f.sub(r[j], f.mul(c, x))
     return q, _strip(r[:db])
@@ -284,14 +252,16 @@ def _poly_sub_mul(f, a, q, b) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _decoder_tables(params: CodeParams):
-    """What is_codeword and decode_codeword need besides the word: the
-    systematic weights of positions k..n-1 (_subset_weights at anchors
-    0..k-1), and Gao's fixed polynomials: g0 = prod (x - a_i) over the
-    evaluation points, the n x n interpolation matrix (row j maps a word
-    to coefficient j of the polynomial of degree < n through it) and
-    the n x k evaluation rows (1, a_i, ..., a_i^(k-1))."""
+def _tables(params: CodeParams):
+    """The code's fixed arrays, in the field's kernel: the n x k
+    systematic weights (_subset_weights at anchors 0..k-1; encode's
+    generator, whose rows k..n-1 are the parity checks), and Gao's fixed
+    polynomials: g0 = prod (x - a_i) over the evaluation points (a
+    tuple), the n x n interpolation matrix (row j maps a word to
+    coefficient j of the polynomial of degree < n through it) and the
+    n x k evaluation rows (1, a_i, ..., a_i^(k-1))."""
     f, k, pts = params.field, params.k, params.eval_points
+    kern = kernel(f)
     g0 = [1]
     for a in pts:
         g0 = _poly_sub_mul(f, [0] + g0, [a], g0)
@@ -305,25 +275,37 @@ def _decoder_tables(params: CodeParams):
                 den = f.mul(den, f.sub(a, b))
         inv = f.inv(den)
         columns.append([f.mul(inv, c) for c in basis])
-    interp = tuple(zip(*columns))
-    evals = tuple(tuple(f.pow(a, j) for j in range(k)) for a in pts)
-    checks = _subset_weights(params, tuple(range(k)))[k:]
-    return checks, tuple(g0), interp, evals
+    interp = list(zip(*columns))
+    evals = [[f.pow(a, j) for j in range(k)] for a in pts]
+    weights = _subset_weights(params, tuple(range(k)))
+    return kern.asarray(weights), tuple(g0), kern.asarray(interp), kern.asarray(evals)
+
+
+def _parity_fails(params: CodeParams, words: np.ndarray) -> np.ndarray:
+    """Per column of the n x m kernel array: whether the word fails the
+    code's n-k parity checks, i.e. its last n-k symbols differ from the
+    systematic interpolation of its first k."""
+    k = params.k
+    checks = _tables(params)[0][k:]
+    return (kernel(params.field).matmul(checks, words[:k]) != words[k:]).any(axis=0)
+
+
+def _column(params: CodeParams, word) -> np.ndarray:
+    """The n-symbol word as an n x 1 kernel array, every symbol checked."""
+    if len(word) != params.n:
+        raise ShapeMismatch(f"received word must have {params.n} symbols")
+    return kernel(params.field).asarray([[v] for v in word])
 
 
 def is_codeword(params: CodeParams, word) -> bool:
     """True when the n-symbol word satisfies the code's n-k parity
-    checks: its last n-k symbols are the systematic interpolation of
-    its first k.  Costs n-k dot products of length k."""
-    k, f = params.k, params.field
-    head = word[:k]
-    checks = _decoder_tables(params)[0]
-    return all(dot(f, row, head) == v for row, v in zip(checks, word[k:]))
+    checks."""
+    return not _parity_fails(params, _column(params, word))[0]
 
 
 def decode_codeword(params: CodeParams, word) -> DecodeOutcome:
     """Bounded-distance decoding: the unique codeword within distance t1
-    of the word, or failure.
+    of the word, or failure.  The one-column case of _decode_words.
 
     A codeword within t1 is unique (2*t1 < n-k+1), so this is also the
     minimum-distance answer whenever one exists within the radius.  A
@@ -334,56 +316,16 @@ def decode_codeword(params: CodeParams, word) -> DecodeOutcome:
     until the remainder g = u*g0 + v*g1 has degree < (n+k)/2, and divide
     g by v.  With at most t1 errors the division is exact and the
     quotient is the message polynomial.  The result is accepted only
-    when the remainder is 0, the quotient has degree < k and its
-    codeword differs from the word in at most t1 positions.  That costs
+    when the remainder is 0 and the quotient has degree < k.  That costs
     O(n^2) field operations per word.
     """
-    n, k = params.n, params.k
-    if len(word) != n:
-        raise ShapeMismatch(f"received word must have {n} symbols")
-    word = tuple(word)
-    if is_codeword(params, word):
-        return DecodeOutcome(True, word, word[:k], frozenset())
-    return _gao_decode(params, word)
-
-
-def _gao_decode(params: CodeParams, word: tuple[int, ...]) -> DecodeOutcome:
-    """decode_codeword past its parity check: Gao's decoder on an
-    n-symbol word that is not a codeword."""
-    n, k, f = params.n, params.k, params.field
-    _, g0, interp, evals = _decoder_tables(params)
-    r0, r1 = g0, _strip(mat_vec(f, interp, word))
-    v0, v1 = [], [1]
-    while 2 * (len(r1) - 1) >= n + k:  # deg r1 >= (n+k)/2
-        quot, rem = _poly_divmod(f, r0, r1)
-        r0, r1 = r1, rem
-        v0, v1 = v1, _poly_sub_mul(f, v0, quot, v1)
-    msg, rem = _poly_divmod(f, r1, v1)
-    if rem or len(msg) > k:
+    received = _column(params, word)
+    cw, ok = _decode_words(params, received)
+    if not ok[0]:
         return _UNDECODABLE
-    msg += [0] * (k - len(msg))
-    cw = tuple(mat_vec(f, evals, msg))
-    errs = frozenset(p for p in range(n) if cw[p] != word[p])
-    if len(errs) > params.t1:
-        return _UNDECODABLE
-    return DecodeOutcome(True, cw, cw[:k], errs)
-
-
-def decode_columns(params: CodeParams, words) -> dict[int, DecodeOutcome]:
-    """decode_codeword for a block of words, the columns of the n-row
-    matrix `words`, keyed by column.  One product of the parity checks
-    with the block's first k rows screens every column, with the test of
-    is_codeword; the clean columns are left out of the result, and only
-    the others go through Gao's decoder."""
-    n, k = params.n, params.k
-    if len(words) != n:
-        raise ShapeMismatch(f"a block of words must have {n} rows")
-    parity = mat_mul(params.field, _decoder_tables(params)[0], words[:k])
-    return {
-        b: _gao_decode(params, tuple(row[b] for row in words))
-        for b, (want, got) in enumerate(zip(zip(*parity), zip(*words[k:])))
-        if want != got
-    }
+    errs = frozenset(np.flatnonzero(cw[:, 0] != received[:, 0]).tolist())
+    cw = tuple(cw[:, 0].tolist())
+    return DecodeOutcome(True, cw, cw[:params.k], errs)
 
 
 def hash_word_decode(params: CodeParams, H) -> list[frozenset[int] | None]:
@@ -391,139 +333,77 @@ def hash_word_decode(params: CodeParams, H) -> list[frozenset[int] | None]:
     n*alpha rows, one column per hash vector in node-block order, so
     row i*alpha + g is symbol i of group g's word and H[g::alpha] holds
     group g's word of every column.  Every symbol must be a field
-    element (FieldMismatch otherwise).  Per column the result is the
-    1-based node ids at the union of its groups' error positions, or
-    None when any group word is undecodable.  A word the decoder
-    corrected that is not a codeword means the construction is broken:
-    SingularSystem.
+    element (FieldMismatch otherwise; the kernel's asarray is the check).
+    Per column the result is the 1-based node ids at the union of its
+    groups' error positions, or None when any group word is
+    undecodable.  A word the decoder corrected that is not a codeword
+    means the construction is broken: SingularSystem.
 
-    Over a PrimeField whose sums of n products fit int64 the whole
-    block goes through _bulk_hash_word_decode; any other field object
-    (an extension field, a p past int64, an instrumented wrapper) takes
-    the scalar reference: each group is screened by one decode_columns
-    call, every symbol checked by the field."""
+    H is viewed as the n x alpha*B matrix of every group word of the
+    block (column g*B + b is group g's word of hash vector b), and all
+    of them go through one _decode_words call."""
     a, n = params.alpha, params.n
     if len(H) != n * a:
         raise ShapeMismatch(f"hash vectors must have {n * a} symbols")
-    if _bulk_tables(params) is not None:
-        return _bulk_hash_word_decode(params, H)
-    if isinstance(H, np.ndarray):
-        H = H.tolist()
-    for row in H:
-        for v in row:
-            params.field.check(v)
-    flagged = [set() for _ in H[0]]
-    undecodable = set()
-    for g in range(a):
-        for b, out in decode_columns(params, H[g::a]).items():
-            if not out.ok:
-                undecodable.add(b)
-            elif not is_codeword(params, out.codeword):
-                raise SingularSystem("corrected hash word is not a codeword")
-            else:
-                flagged[b].update(p + 1 for p in out.errors)
-    return [None if b in undecodable else frozenset(nodes)
-            for b, nodes in enumerate(flagged)]
-
-
-@lru_cache(maxsize=None)
-def _bulk_tables(params: CodeParams):
-    """_decoder_tables for the bulk path: the parity checks, the
-    interpolation matrix and the evaluation rows as int64 arrays, g0 as
-    a tuple.  None when the bulk path does not apply: the field is not a
-    PrimeField, or a sum of n products mod p could pass int64 (every
-    product of the path sums at most n)."""
-    f = params.field
-    if not isinstance(f, PrimeField) or not int64_fits(f.p, params.n):
-        return None
-    checks, g0, interp, evals = _decoder_tables(params)
-    return (np.array(checks, np.int64), g0,
-            np.array(interp, np.int64), np.array(evals, np.int64))
-
-
-def _bulk_hash_word_decode(params: CodeParams, H) -> list[frozenset[int] | None]:
-    """hash_word_decode over GF(p) in int64 arrays.  H becomes one
-    int64 array, range-checked once, and is viewed as the n x alpha*B
-    matrix of every group word of the block (column g*B + b is group
-    g's word of hash vector b).  One parity product screens them all;
-    the errored ones decode together in _gao_block, and one parity
-    product confirms every corrected word."""
-    n, k, a, p = params.n, params.k, params.alpha, params.field.p
-    checks = _bulk_tables(params)[0]
-    H = int64_checked(params.field, H)
+    H = kernel(params.field).asarray(H)
     B = H.shape[1]
     words = H.reshape(n, a * B)
-    errored = np.flatnonzero(((checks @ words[:k]) % p != words[k:]).any(axis=0))
-    flagged = np.zeros((n, a * B), dtype=bool)
-    undecodable = np.zeros(a * B, dtype=bool)
-    if errored.size:
-        received = words[:, errored]
-        cw, ok = _gao_block(params, received)
-        errs = cw != received
-        if ((checks @ cw[:k, ok]) % p != cw[k:, ok]).any():
-            raise SingularSystem("corrected hash word is not a codeword")
-        flagged[:, errored[ok]] = errs[:, ok]
-        undecodable[errored[~ok]] = True
-    nodes = flagged.reshape(n, a, B).any(axis=1).T.tolist()
-    lost = undecodable.reshape(a, B).any(axis=0).tolist()
+    cw, ok = _decode_words(params, words)
+    nodes = (cw != words).reshape(n, a, B).any(axis=1).T.tolist()
+    lost = (~ok).reshape(a, B).any(axis=0).tolist()
     return [None if gone else frozenset(i for i, bad in enumerate(row, 1) if bad)
             for row, gone in zip(nodes, lost)]
 
 
+def _decode_words(params: CodeParams, words: np.ndarray):
+    """Every column of the n x m kernel array `words` decoded: returns
+    the codewords (n x m) and the mask of decodable columns.  One parity
+    product screens the columns; only those that fail it go through
+    _gao_block, together.  An undecodable column keeps its received
+    symbols.  One parity product confirms every corrected word
+    (SingularSystem when one is not a codeword)."""
+    cw, ok = words.copy(), np.ones(words.shape[1], dtype=bool)
+    errored = np.flatnonzero(_parity_fails(params, words))
+    if errored.size:
+        fixed, good = _gao_block(params, words[:, errored])
+        if _parity_fails(params, fixed[:, good]).any():
+            raise SingularSystem("corrected hash word is not a codeword")
+        cw[:, errored[good]] = fixed[:, good]
+        ok[errored[~good]] = False
+    return cw, ok
+
+
 def _gao_block(params: CodeParams, words):
-    """Gao's decoder, as in _gao_decode, on every column of the n x m
-    int64 array `words`: one product with the interpolation matrix gives
-    every word's g1, the extended Euclid runs word by word in native
-    ints (_gao_message), and one product with the evaluation rows
-    re-encodes the messages.  Returns the codewords (n x m) and the
-    mask of words whose Euclid ended in an exact division of degree < k.
-    Such a word needs no radius test: its errors lie at roots of v1, and
+    """Gao's decoder (decode_codeword) on every column of the n x m
+    kernel array `words`: one product with the interpolation matrix gives
+    every word's g1, the extended Euclid runs word by word
+    (_gao_message), and one product with the evaluation rows re-encodes
+    the messages.  Returns the codewords (n x m) and the mask of words
+    whose Euclid ended in an exact division of degree < k.  Such a word
+    needs no radius test: its errors lie at roots of v1, and
     deg v1 = n - deg r0 <= (n-k)/2 when the Euclid stops."""
-    n, k, p = params.n, params.k, params.field.p
-    _, g0, interp, evals = _bulk_tables(params)
+    n, k, f = params.n, params.k, params.field
+    kern = kernel(f)
+    _, g0, interp, evals = _tables(params)
     msgs, ok = [], []
-    for g1 in ((interp @ words) % p).T.tolist():
-        msg = _gao_message(p, n, k, g0, g1)
+    for g1 in kern.matmul(interp, words).T.tolist():
+        msg = _gao_message(f, n, k, g0, g1)
         ok.append(msg is not None)
         msgs.append(msg or [0] * k)
-    return (evals @ np.array(msgs, dtype=np.int64).T) % p, np.array(ok)
+    return kern.matmul(evals, np.array(msgs, dtype=kern.dtype).T), np.array(ok)
 
 
-def _gao_message(p: int, n: int, k: int, g0, g1) -> list[int] | None:
-    """_gao_decode's extended Euclid and final division over GF(p) in
-    native ints, from the interpolated g1: the k message coefficients,
-    or None when the division is not exact or its degree is >= k."""
+def _gao_message(f, n: int, k: int, g0, g1) -> list[int] | None:
+    """Gao's extended Euclid and final division from the interpolated
+    g1: the k message coefficients, or None when the division is not
+    exact or its degree is >= k."""
     r0, r1 = g0, _strip(g1)
     v0, v1 = [], [1]
     while 2 * (len(r1) - 1) >= n + k:  # deg r1 >= (n+k)/2
-        quot, rem = _divmod_p(p, r0, r1)
+        quot, rem = _poly_divmod(f, r0, r1)
         r0, r1 = r1, rem
-        v0, v1 = v1, _sub_mul_p(p, v0, quot, v1)
-    msg, rem = _divmod_p(p, r1, v1)
+        v0, v1 = v1, _poly_sub_mul(f, v0, quot, v1)
+    msg, rem = _poly_divmod(f, r1, v1)
     if rem or len(msg) > k:
         return None
     return msg + [0] * (k - len(msg))
-
-
-def _divmod_p(p: int, a, b) -> tuple[list[int], list[int]]:
-    """_poly_divmod over GF(p) in native ints, reducing each
-    coefficient only when it is read."""
-    r = list(a)
-    *low, lead = b
-    db = len(low)
-    inv = pow(lead, -1, p)
-    q = [0] * max(len(r) - db, 0)
-    for i in reversed(range(len(q))):
-        c = q[i] = r[i + db] * inv % p
-        for j, x in enumerate(low, i):
-            r[j] -= c * x
-    return q, _strip([x % p for x in r[:db]])
-
-
-def _sub_mul_p(p: int, a, q, b) -> list[int]:
-    """_poly_sub_mul over GF(p) in native ints: a - q*b."""
-    out = list(a) + [0] * max(len(q) + len(b) - 1 - len(a), 0)
-    for i, c in enumerate(q):
-        for j, x in enumerate(b, i):
-            out[j] -= c * x
-    return _strip([x % p for x in out])

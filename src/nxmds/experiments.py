@@ -18,18 +18,16 @@ because hashing is linear, node i's hash (C_i + E_i) r = C_i r + E_i r:
 the clean hash vectors of the whole block are the columns of one
 product C R^T, C encoded once per call and R the block's vectors
 stacked, and each planned node adds its E_i r into its alpha rows.
-Over a PrimeField whose length-N sums fit int64 these are int64
-arrays.  C is encoded once per call by code.encode_array, straight from
-the int64 data array the rng returns, so its entries need no check; R
-and the stacked error rows of a block are converted once each, with
-one vectorised range check (matrix.int64_checked), and all the block's
-E_i r come from one stacked product.  Over any other field they are
-mat_mul and row_dots, every operation a field call.  The block's hash vectors then go to
-code.hash_word_decode, the same rule from decoded group words to
-flagged nodes that verify applies to one vector: it checks every
-symbol, one parity product screens the group words, only words that
-fail it reach the decoder, and every corrected word must be a codeword
-(SingularSystem).  Each plan must predate its vector
+These are arrays of the field's kernel (matrix.kernel), for every
+field.  C is encoded once per call by code.encode_array, straight from
+the data array the rng returns; R and the stacked error rows of a block
+are converted once each, with the kernel's element check, and all the
+block's E_i r come from one stacked product.  The block's hash vectors
+then go to code.hash_word_decode, the same rule from decoded group
+words to flagged nodes that verify applies to one vector: it checks
+every symbol, one parity product screens the group words, only words
+that fail it reach the decoder, and every corrected word must be a
+codeword (SingularSystem).  Each plan must predate its vector
 (verifier.check_commitment).  An audit misses when a planned node is
 not flagged; an undecodable audit flags nothing.
 
@@ -51,9 +49,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .code import CodeParams, encode, encode_array, hash_word_decode
+from .code import CodeParams, encode_array, hash_word_decode
 from .errors import TooLargeToEnumerate
-from .field import ExtensionField, PrimeField, field_from_order
+from .field import ExtensionField, field_from_order
 from .hashing import (
     PrgSeed,
     draw_challenge,
@@ -62,7 +60,7 @@ from .hashing import (
     minimal_extension_degree,
     prg_expand,
 )
-from .matrix import dot, int64_checked, int64_fits, mat_mul, row_dots
+from .matrix import dot, kernel
 from .storage import (
     ErrorPlan,
     corrupt,
@@ -149,13 +147,9 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
     data_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_DATA,))
     )
-    fld = params.field
     # random_data's draw, kept as the rng's int64 array
-    X = data_rng.integers(0, fld.q, size=(params.k * params.alpha, params.N))
-    if isinstance(fld, PrimeField) and int64_fits(fld.p, params.N):
-        C = encode_array(params, X)  # the bulk path, see _block_misses
-    else:
-        C = encode(params, None, X.tolist())  # encode never reads G
+    X = data_rng.integers(0, params.field.q, size=(params.k * params.alpha, params.N))
+    C = encode_array(params, kernel(params.field).asarray(X))
     failures = 0
     for start in range(0, trials, _BLOCK):
         plans, drawn = [], []
@@ -172,12 +166,9 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
 
 def _block_misses(params: CodeParams, C, plans, vectors) -> int:
     """Missed audits in a block: audit b commits plans[b] (None when
-    t = 0) and is hashed on vectors[b].  When C is an int64 array (a
-    PrimeField whose length-N sums fit int64) the block's hash vectors
-    are built in int64 arrays, each range-checked once; otherwise by
-    mat_mul and row_dots, which route every operation through the field."""
-    fld, a = params.field, params.alpha
-    R = [r.symbols for r in vectors]
+    t = 0) and is hashed on vectors[b].  C is the kernel array of the
+    encoded data; the block's hash vectors are built in kernel arrays."""
+    kern, a = kernel(params.field), params.alpha
     rows, cells = [], []  # error rows, and the (hash row, audit) each adds into
     for b, (plan, r) in enumerate(zip(plans, vectors)):
         if plan is None:
@@ -189,17 +180,12 @@ def _block_misses(params: CodeParams, C, plans, vectors) -> int:
                 cells.append(((i - 1) * a + g, b))
     # column b of H is audit b's hash vector: first the clean C r, then
     # E_i r into the alpha rows of every planned node
-    if isinstance(C, np.ndarray):
-        p = fld.p
-        R = int64_checked(fld, R)
-        H = C @ R.T % p
-        if rows:
-            h, b = np.array(cells).T
-            H[h, b] = (H[h, b] + (int64_checked(fld, rows) * R[b]).sum(axis=1)) % p
-    else:
-        H = mat_mul(fld, C, [list(col) for col in zip(*R)])
-        for (h, b), v in zip(cells, row_dots(fld, rows, [R[b] for _, b in cells])):
-            H[h][b] = fld.add(H[h][b], v)
+    R = kern.asarray(np.array([r.symbols for r in vectors]))
+    H = kern.matmul(C, R.T)
+    if rows:
+        h, b = np.array(cells).T
+        E = kern.asarray(np.array(rows))
+        H[h, b] = kern.add(H[h, b], kern.matmul(E[:, None, :], R[b][:, :, None])[:, 0, 0])
     return sum(plan is not None and not plan.nodes <= (flagged or set())
                for plan, flagged in zip(plans, hash_word_decode(params, H)))
 

@@ -21,14 +21,10 @@ smallest degree that pushes this below 1.
 Drawing r has two steps, and draw_vector is their composition:
 draw_challenge draws what the kind shares (the vector itself, or the
 seed), and expand_challenges grows seeds into vectors.  Many seeds of
-one extension expand together (prg_expand_many): over a PrimeField base
-the recurrence runs on all of them at once as numpy int64 arrays, under
-matrix.int64_fits with the m products of an extension multiplication.
-Any other base (an extension field, or an instrumented wrapper such as
-experiments.CountingField), or a p too large for int64 (the
-p ~ 3*10^9 that `params` picks at M = 10^9 bits), falls back to the
-scalar prg_expand seed by seed, which sends every base-field operation
-through the field.
+one extension expand together (prg_expand_many): the recurrence runs on
+all of them at once in arrays of the base field's kernel
+(matrix.kernel), for every base.  prg_expand is the seed-by-seed
+reference, every base-field operation a field call.
 """
 
 from __future__ import annotations
@@ -40,8 +36,8 @@ import numpy as np
 
 from . import clock
 from .errors import ExtensionTooSmall
-from .field import PrimeField, make_extension, symbol_bits
-from .matrix import int64_fits, mat_vec
+from .field import make_extension, symbol_bits
+from .matrix import kernel, mat_vec
 
 TRUE_RANDOM = "true-random"
 PSEUDORANDOM = "pseudorandom"
@@ -146,40 +142,34 @@ def prg_expand(seed: PrgSeed, N: int) -> RandomVector:
 
 
 def prg_expand_many(seeds, N: int) -> list[RandomVector]:
-    """prg_expand of every seed, all of one extension field.
-
-    Over a PrimeField base, when int64_fits(p, m), the seeds' powers of
-    x advance together, each step one product of a coordinate vector
-    with the m x m matrix of multiplication by x, reduced mod p.
-    Otherwise each seed goes through prg_expand.
-    """
+    """prg_expand of every seed, all of one extension field: the seeds'
+    powers of x advance together, each step one stacked product of a
+    coordinate vector with the m x m matrix of multiplication by x, in
+    the base field's kernel."""
     if not seeds:
         return []
     ext = seeds[0].ext
     base, m = ext.base, ext.m
     if any(s.ext != ext for s in seeds):
         raise ValueError("seeds must share one extension field")
-    if not isinstance(base, PrimeField) or not int64_fits(base.p, m):
-        return [prg_expand(s, N) for s in seeds]
     _check_room(ext, N)
-    p = base.p
-    x = np.array([ext.coords(s.x) for s in seeds], dtype=np.int64)
-    y = np.array([ext.coords(s.y) for s in seeds], dtype=np.int64)
-    low = np.array(ext.modulus[:m], dtype=np.int64)
+    kern = kernel(base)
+    x = kern.asarray([ext.coords(s.x) for s in seeds])
+    y = kern.asarray([ext.coords(s.y) for s in seeds])
+    low = kern.asarray([ext.modulus[:m]])
     # times_x[b] is multiplication by x_b on coordinates: row j holds
     # coords(t^j * x_b), each row the one above shifted up a degree and
     # reduced by the monic modulus
-    times_x = np.zeros((len(seeds), m, m), dtype=np.int64)
+    times_x = np.zeros((len(seeds), m, m), dtype=kern.dtype)
     times_x[:, 0] = x
     for j in range(1, m):
         times_x[:, j, 1:] = times_x[:, j - 1, :-1]
-        times_x[:, j] = (times_x[:, j] - times_x[:, j - 1, -1:] * low) % p
-    powers = np.empty((len(seeds), N, m), dtype=np.int64)  # coords(x_b^i)
-    powers[:, 0] = 0
+        times_x[:, j] = kern.sub(times_x[:, j], kern.mul(times_x[:, j - 1, -1:], low))
+    powers = np.zeros((len(seeds), N, m), dtype=kern.dtype)  # coords(x_b^i)
     powers[:, 0, 0] = 1
     for i in range(1, N):
-        powers[:, i] = (powers[:, i - 1, :, None] * times_x).sum(axis=1) % p
-    out = (powers * y[:, None, :]).sum(axis=2) % p
+        powers[:, i] = kern.matmul(powers[:, i - 1, None], times_x)[:, 0]
+    out = kern.matmul(powers, y[:, :, None])[:, :, 0]
     return [
         RandomVector(tuple(row), base, PSEUDORANDOM, s.bits, s.drawn_at)
         for row, s in zip(out.tolist(), seeds)

@@ -1,38 +1,40 @@
-"""Small dense matrix/vector helpers over a finite field.
+"""Small dense matrix/vector helpers over a finite field, and the array
+kernel that every bulk algorithm of the library runs on.
 
-Matrices are lists of row lists of ints.  Exactness matters more than
-speed, but the audit is a chain of linear maps over F_q (encode, inject
-errors, check their rank, project onto r), so the matrix kernels take a
-bulk path over prime fields:
+kernel(field), built once per field, is the one place that decides how
+field elements are held in arrays:
 
-  check once   mat_mul, row_dots, mat_add, mat_sub and row_rank first
-               test every input entry with the test of PrimeField.check
-               (prime_checked: an int in [0, p), else FieldMismatch),
-               then compute with no per-operation call; code.encode
-               runs the same test before its batched int64 product
-  mat_mul      numpy int64 products reduced mod p; when a sum of
-  row_dots     products could pass 2^63 - 1 (int64_fits fails, e.g. for
-               the p ~ 3*10^9 that `params` picks at M = 10^9 bits) they
-               keep the exact Python-int dot path
-  the rest     native Python ints with a single % p; at the shapes in
-               play numpy's per-call cost outweighs the work
+  prime    any PrimeField: numpy int64 arrays, each operation one numpy
+           call reduced mod p.  A product whose sums could pass
+           2^63 - 1 (int64_fits false, e.g. the p ~ 3*10^9 that `params`
+           picks at M = 10^9 bits) runs in object dtype over exact
+           Python ints and comes back as int64.
+  field    any other field object (an extension field, or an
+           instrumented wrapper such as experiments.CountingField):
+           object arrays of Python ints, each elementwise operation one
+           call of the field's own arithmetic (np.frompyfunc), so a
+           counting wrapper sees every operation.
 
-int64_checked is the entry of callers that keep their own int64 arrays
-(code's bulk decoder, the Monte Carlo engine's hash products): one
-vectorised test that every entry is an integer in [0, p), instead of a
-per-entry check on every call.
+Both kernels offer asarray, matmul (stacked operands broadcast as in
+np.matmul), add, sub, mul and inv, and the dtype of their arrays.
+asarray is the one element check: over nested sequences it applies
+exactly field.check to every entry (so bool passes and a numpy integer
+scalar does not), over an integer ndarray one vectorised range test,
+and it raises ShapeMismatch unless it has a matrix.  The other
+operations check nothing; they also take the int64 arrays an rng
+returns.
 
-Any other field object (an extension field, or an instrumented wrapper
-such as experiments.CountingField) takes the scalar path: every
-operation goes through the field, which checks its operands.  dot and
-mat_vec check nothing over prime fields: an inner product there is
-native integer arithmetic with a single final reduction.
+mat_mul, mat_add, mat_sub and row_rank take matrices as lists of rows
+(or arrays), check them with asarray and answer in lists.  dot and
+mat_vec are list helpers that check nothing over prime fields: an inner
+product there is native integer arithmetic with a single reduction.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +46,7 @@ _INT64_MAX = 2 ** 63 - 1
 
 def int64_fits(p: int, terms: int) -> bool:
     """Whether a sum of `terms` products of residues mod p stays within
-    int64: the guard of every numpy kernel over GF(p)."""
+    int64: the guard of every int64 product over GF(p)."""
     return terms * (p - 1) ** 2 <= _INT64_MAX
 
 
@@ -71,88 +73,147 @@ def mat_vec(field, rows, v) -> list[int]:
     return [_inner(field, row, v) for row in rows]
 
 
-def prime_checked(field, *mats) -> int | None:
-    """p once every entry of every matrix has passed PrimeField.check;
-    None when the field is not a PrimeField (the scalar path)."""
-    if not isinstance(field, PrimeField):
-        return None
-    p = field.p
-    for m in mats:
-        for row in m:
-            for x in row:
-                if type(x) is not int or not 0 <= x < p:
-                    field.check(x)  # raises unless x is an in-range int subclass
-    return p
+# -- the array kernels -----------------------------------------------------
+
+def _width(rows) -> int:
+    """The common length of the rows of a nested sequence."""
+    width = len(rows[0]) if len(rows) else 0
+    if any(len(row) != width for row in rows):
+        raise ShapeMismatch("rows must share one length")
+    return width
 
 
-def int64_checked(field, rows) -> np.ndarray:
-    """`rows`, nested lists or an array, as a 2-D numpy int64 array whose
-    every entry passed one vectorised test of being an element of the
-    PrimeField `field`: an integer in [0, p).  The test reads the array's
-    dtype, so numpy integer scalars pass, which field.check refuses.
-    When the test fails, the entries go through field.check in row-major
-    order, so FieldMismatch names the first bad one."""
-    try:
-        arr = np.asarray(rows)
-    except ValueError as exc:  # ragged rows
-        raise ShapeMismatch("rows must share one length") from exc
+def _check_each(field, rows) -> None:
+    """field.check on every entry, in row-major order: FieldMismatch
+    names the first one that is not an element."""
+    for x in itertools.chain.from_iterable(rows):
+        field.check(x)
+
+
+def _in_range(field, arr: np.ndarray, dtype) -> np.ndarray:
+    """arr as a matrix of `dtype` once one vectorised test found every
+    entry an integer in [0, q); entries of any other dtype go through
+    field.check one by one."""
     if arr.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got {arr.ndim} dimension(s)")
-    if arr.size and (arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() >= field.p):
-        entries = arr.tolist() if isinstance(rows, np.ndarray) else rows
-        for x in itertools.chain.from_iterable(entries):
-            field.check(x)
-        raise FieldMismatch(f"entries of dtype {arr.dtype} are not elements of {field!r}")
-    return arr.astype(np.int64, copy=False)
+    if arr.size and (arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() >= field.q):
+        _check_each(field, arr.tolist())
+        if arr.dtype.kind != "O":
+            raise FieldMismatch(f"entries of dtype {arr.dtype} are not elements of {field!r}")
+    return arr.astype(dtype, copy=False)
 
+
+class _PrimeKernel:
+    """The kernel of a PrimeField: int64 arrays."""
+
+    dtype = np.int64
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.p
+        self._inv = np.frompyfunc(field.inv, 1, 1)
+
+    def asarray(self, rows) -> np.ndarray:
+        if not isinstance(rows, np.ndarray):
+            width = _width(rows)
+            if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+                _check_each(self.field, rows)  # bool passes, as field.check lets it
+            try:
+                rows = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+            except OverflowError:
+                _check_each(self.field, rows)
+                raise
+        return _in_range(self.field, rows, np.int64)
+
+    def _exact(self, op, a, b, terms: int) -> np.ndarray:
+        """op(a, b) mod p: in int64 when its sums of `terms` products
+        fit, otherwise over Python ints."""
+        if int64_fits(self.p, terms):
+            return op(a, b) % self.p
+        return (op(a.astype(object), b.astype(object)) % self.p).astype(np.int64)
+
+    def matmul(self, a, b) -> np.ndarray:
+        return self._exact(np.matmul, a, b, a.shape[-1])
+
+    def mul(self, a, b) -> np.ndarray:
+        return self._exact(np.multiply, a, b, 1)
+
+    def add(self, a, b) -> np.ndarray:
+        return (a + b) % self.p
+
+    def sub(self, a, b) -> np.ndarray:
+        return (a - b) % self.p
+
+    def inv(self, a) -> np.ndarray:
+        return self._inv(a).astype(np.int64)
+
+
+class _FieldKernel:
+    """The kernel of any other field object: object arrays of Python
+    ints, every elementwise operation a call of the field."""
+
+    dtype = object
+
+    def __init__(self, field):
+        self.field = field
+        self.add = np.frompyfunc(field.add, 2, 1)
+        self.sub = np.frompyfunc(field.sub, 2, 1)
+        self.mul = np.frompyfunc(field.mul, 2, 1)
+        self.inv = np.frompyfunc(field.inv, 1, 1)
+
+    def asarray(self, rows) -> np.ndarray:
+        if isinstance(rows, np.ndarray):
+            return _in_range(self.field, rows, object)
+        width = _width(rows)
+        _check_each(self.field, rows)
+        return np.array(rows, dtype=object).reshape(len(rows), width)
+
+    def matmul(self, a, b) -> np.ndarray:
+        """One multiply-accumulate step per term of the sums."""
+        acc = None
+        for j in range(a.shape[-1]):
+            term = self.mul(a[..., :, j, None], b[..., j, None, :])
+            acc = term if acc is None else self.add(acc, term)
+        if acc is None:  # sums of no terms
+            shape = np.broadcast_shapes(a.shape[:-1] + (1,), b.shape[:-2] + (1, b.shape[-1]))
+            acc = np.zeros(shape, dtype=object)
+        return acc
+
+
+@lru_cache(maxsize=None)
+def kernel(field):
+    """The array kernel of the field (module docstring)."""
+    return _PrimeKernel(field) if isinstance(field, PrimeField) else _FieldKernel(field)
+
+
+# -- list-in, list-out matrix operations -----------------------------------
 
 def mat_mul(field, a, b) -> list[list[int]]:
-    if not a or not b:
+    if not len(a):
         return []
-    if any(len(row) != len(b) for row in a) or any(len(row) != len(b[0]) for row in b):
-        raise ShapeMismatch(f"mat_mul of {len(a)}x{len(a[0])} and {len(b)}x{len(b[0])}")
-    p = prime_checked(field, a, b)
-    if p is not None and int64_fits(p, len(b)):
-        prod = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
-        return (prod % p).tolist()
-    bt = list(zip(*b))
-    return [[_inner(field, row, col) for col in bt] for row in a]
+    kern = kernel(field)
+    a, b = kern.asarray(a), kern.asarray(b)
+    if a.shape[1] != b.shape[0]:
+        raise ShapeMismatch(f"mat_mul of {a.shape[0]}x{a.shape[1]} and {b.shape[0]}x{b.shape[1]}")
+    return kern.matmul(a, b).tolist()
 
 
-def row_dots(field, a, b) -> list[int]:
-    """<a[j], b[j]> for every j: the inner products of paired rows of
-    two equal-shape matrices, in one call."""
-    N = len(a[0]) if a else 0
-    if len(a) != len(b) or any(len(u) != N or len(v) != N for u, v in zip(a, b)):
-        raise ShapeMismatch("row_dots needs paired rows of one length")
-    if not a:
-        return []
-    p = prime_checked(field, a, b)
-    if p is not None and int64_fits(p, N):
-        prod = np.array(a, dtype=np.int64) * np.array(b, dtype=np.int64)
-        return (prod.sum(axis=1) % p).tolist()
-    return [_inner(field, u, v) for u, v in zip(a, b)]
-
-
-def _same_shape(a, b, name):
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
+def _same_shape(field, a, b, name):
+    kern = kernel(field)
+    a, b = kern.asarray(a), kern.asarray(b)
+    if a.shape != b.shape:
         raise ShapeMismatch(f"{name} of unequal shapes")
+    return kern, a, b
 
 
 def mat_add(field, a, b) -> list[list[int]]:
-    _same_shape(a, b, "mat_add")
-    p = prime_checked(field, a, b)
-    if p is None:
-        return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    kern, a, b = _same_shape(field, a, b, "mat_add")
+    return kern.add(a, b).tolist()
 
 
 def mat_sub(field, a, b) -> list[list[int]]:
-    _same_shape(a, b, "mat_sub")
-    p = prime_checked(field, a, b)
-    if p is None:
-        return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    return [[(x - y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    kern, a, b = _same_shape(field, a, b, "mat_sub")
+    return kern.sub(a, b).tolist()
 
 
 def row_rank(field, rows) -> int:
@@ -160,28 +221,15 @@ def row_rank(field, rows) -> int:
     remaining row as pivot and clears its leading column from the rows
     not yet used, without scaling the pivot; rows that become zero drop
     out, so the scan stops once every remaining row is zero."""
-    p = prime_checked(field, rows)
-    if p is None:
-        def eliminate(row, col, pivot, inv):
-            c = field.mul(row[col], inv)
-            return [field.sub(x, field.mul(c, y)) for x, y in zip(row, pivot)]
-
-        inverse = field.inv
-    else:
-        def eliminate(row, col, pivot, inv):
-            c = row[col] * inv % p
-            return [(x - c * y) % p for x, y in zip(row, pivot)]
-
-        def inverse(a):
-            return pow(a, p - 2, p)
-
-    rest = [list(r) for r in rows if any(r)]
+    kern = kernel(field)
+    rest = kern.asarray(rows)
     rank = 0
-    while rest:
-        pivot, *rest = rest
-        col = next(j for j, x in enumerate(pivot) if x != 0)
-        inv = inverse(pivot[col])
+    while True:
+        rest = rest[(rest != 0).any(axis=1)]
+        if not len(rest):
+            return rank
+        pivot, rest = rest[0], rest[1:]
+        col = int((pivot != 0).argmax())
+        scale = kern.mul(rest[:, col:col + 1], kern.inv(pivot[col:col + 1]))
+        rest = kern.sub(rest, kern.mul(scale, pivot))
         rank += 1
-        rest = [r for r in (eliminate(r, col, pivot, inv) if r[col] != 0 else r
-                            for r in rest) if any(r)]
-    return rank

@@ -17,13 +17,13 @@ Error models:
 
 sample_error_plan builds each matrix once from the rng's int64 draws.
 A rank-1 E is the outer product of the drawn coefficients and base row,
-a rank-f E the product of the drawn coefficients and bases: one int64
-product mod p over a PrimeField whose sums fit int64 (_product),
-mat_mul over any other field.  The declared rank is checked by code
-that runs under python -O too: a rank-1 E must pass _check_rank_one, an
-O(alpha N) test of every 2 x 2 minor through its first nonzero entry,
-and a rank-f E is redrawn until row_rank gives f.  The stored entries
-are tuples of Python ints.
+a rank-f E the product of the drawn coefficients and bases: one matmul
+of the field's array kernel (matrix.kernel).  The declared rank is
+checked by code that runs under python -O too: a rank-1 E must pass
+_check_rank_one, an O(alpha N) test of every 2 x 2 minor through its
+first nonzero entry, and a rank-f E is redrawn until row_rank, which
+takes the drawn arrays as they are, gives f.  The stored entries are
+tuples of Python ints.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .errors import (
     NoGroundTruth,
     ShapeMismatch,
 )
-from .field import PrimeField
-from .matrix import int64_fits, mat_add, mat_mul, row_rank
+from .matrix import kernel, mat_add, row_rank
 
 MODELS = ("single-cell", "random-dense", "rank-1", "rank-f", "null-against-vector")
 
@@ -232,16 +231,6 @@ def _orthogonal_row(rng, field, target) -> list[int]:
             return row
 
 
-def _product(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the field for int64 arrays whose entries are field
-    elements (drawn by the rng, or products of such), which are not
-    checked again: one int64 product mod p over a PrimeField whose sums
-    of len(b) products fit int64, otherwise mat_mul."""
-    if isinstance(field, PrimeField) and int64_fits(field.p, len(b)):
-        return a @ b % field.p
-    return np.array(mat_mul(field, a.tolist(), b.tolist()), dtype=np.int64)
-
-
 def _check_rank_one(field, E: np.ndarray, node: int) -> None:
     """Raise unless E is nonzero and every entry satisfies
     E[r, c] E[r0, c0] = E[r, c0] E[r0, c], (r0, c0) the first nonzero
@@ -252,8 +241,9 @@ def _check_rank_one(field, E: np.ndarray, node: int) -> None:
     if not nonzero.size:
         raise RuntimeError(f"rank-1 error matrix of node {node} is zero")
     r0, c0 = divmod(int(nonzero[0]), E.shape[1])
-    scaled = _product(field, E[r0:r0 + 1, c0:c0 + 1], E.reshape(1, -1))
-    if (scaled.reshape(E.shape) != _product(field, E[:, c0:c0 + 1], E[r0:r0 + 1])).any():
+    kern = kernel(field)
+    scaled = kern.matmul(E[r0:r0 + 1, c0:c0 + 1], E.reshape(1, -1))
+    if (scaled.reshape(E.shape) != kern.matmul(E[:, c0:c0 + 1], E[r0:r0 + 1])).any():
         raise RuntimeError(f"rank-1 error matrix of node {node} has rank above 1")
 
 
@@ -299,19 +289,20 @@ def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
                 coeffs = rng.integers(0, q, size=a)
                 if np.count_nonzero(coeffs):
                     break
-            outer = _product(fld, coeffs[:, None], base[None, :])
+            outer = kernel(fld).matmul(coeffs[:, None], base[None, :])
             _check_rank_one(fld, outer, i)
             E = outer.tolist()
         elif model == "rank-f":
             while True:
                 bases = np.array([_nonzero_row(rng, q, N) for _ in range(f)])
-                if row_rank(fld, bases.tolist()) == f:
+                if row_rank(fld, bases) == f:
                     break
             while True:
                 coeffs = np.array([rng.integers(0, q, size=f) for _ in range(a)])
-                E = _product(fld, coeffs, bases).tolist()
+                E = kernel(fld).matmul(coeffs, bases)
                 if row_rank(fld, E) == f:
                     break
+            E = E.tolist()
         else:
             E = [_orthogonal_row(rng, fld, list(target)) for _ in range(a)]
         entries.append((i, tuple(map(tuple, E))))

@@ -104,10 +104,8 @@ def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
 def verify(H: HashVector, params: CodeParams, G: GeneratorMatrix) -> VerificationReport:
     """Decode the hash vector and flag the error positions, by
     hash_word_decode.  Every symbol must be a field element
-    (FieldMismatch otherwise).  G is not consulted: the parity checks
-    come from the cached per-code tables."""
-    for v in H.symbols:
-        params.field.check(v)
+    (FieldMismatch otherwise, from hash_word_decode's check).  G is not
+    consulted: the parity checks come from the cached per-code tables."""
     (flagged,) = hash_word_decode(params, [[v] for v in H.symbols])
     hash_bits = params.n * params.alpha * symbol_bits(params.field.q)
     if flagged is None:

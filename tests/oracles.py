@@ -3,15 +3,18 @@
 Everything here recomputes expected values by a different route than the
 library: codewords come from direct polynomial evaluation over the
 coefficient basis (not the systematic Lagrange construction), and
-decoding is exhaustive minimum-distance search over the full codebook.
-Slow on purpose; use only at small parameters.  The .nxm reference
-codec packs and parses one symbol at a time.
+decoding is exhaustive minimum-distance search over the full codebook,
+or over every error support (support_decode).  Slow on purpose; use
+only at small parameters.  The .nxm reference codec packs and parses
+one symbol at a time.
 """
 
 import itertools
+import math
 
-from nxmds import container
+from nxmds import container, matrix
 from nxmds.errors import ContainerError, TruncatedPayload
+from nxmds.field import is_prime
 
 
 def poly_eval(field, coeffs, x):
@@ -76,6 +79,37 @@ def lagrange_values(field, known, xs):
             acc = field.add(acc, term)
         out.append(acc)
     return out
+
+
+def support_decode(params, word):
+    """Bounded-distance decoding by enumerating error supports: for each
+    set S of at most t1 positions, smallest first, the polynomial through
+    the first k positions outside S (lagrange_values) must reproduce
+    every other position outside S.  Returns (codeword, error positions)
+    for the first S that passes, or None when none does.  Within t1 the
+    codeword is unique, so the order of the search does not matter."""
+    f, n, k = params.field, params.n, params.k
+    pts = params.eval_points
+    for size in range(params.t1 + 1):
+        for support in itertools.combinations(range(n), size):
+            rest = [p for p in range(n) if p not in support]
+            known = [(pts[p], word[p]) for p in rest[:k]]
+            if all(lagrange_values(f, known, [pts[p]]) == [word[p]] for p in rest[k:]):
+                cw = tuple(lagrange_values(f, known, pts))
+                return cw, frozenset(p for p in range(n) if cw[p] != word[p])
+    return None
+
+
+def edge_primes(terms):
+    """The largest prime p whose sums of `terms` products mod p fit
+    int64 (matrix.int64_fits), and the next prime, whose sums do not."""
+    above = math.isqrt(matrix._INT64_MAX // terms) + 2
+    while not is_prime(above):
+        above += 1
+    below = above - 1
+    while not is_prime(below):
+        below -= 1
+    return below, above
 
 
 def dense_generator(params, G):

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -7,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nxmds import code, matrix
+from nxmds import code
 from nxmds.code import (
     CodeParams,
     DecodeOutcome,
     decode_codeword,
-    decode_columns,
     encode,
     erasure_decode,
     hash_word_decode,
@@ -27,8 +25,8 @@ from nxmds.errors import (
     SingularSystem,
     TooFewNodes,
 )
-from nxmds.field import is_prime, make_field
-from nxmds.matrix import dot, int64_fits, mat_mul, mat_vec, row_rank
+from nxmds.field import make_field
+from nxmds.matrix import dot, int64_fits, kernel, mat_mul, mat_vec, row_rank
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -433,63 +431,54 @@ def test_hash_word_decode_shape():
 
 
 def replay_flags(params, column):
-    """Flags of one hash vector by the scalar reference, group word by
-    group word through decode_codeword: None when some word is
-    undecodable."""
+    """Flags of one hash vector by the support-enumeration oracle, group
+    word by group word: None when some word is undecodable."""
     a, n = params.alpha, params.n
     flagged = set()
     for g in range(a):
-        out = decode_codeword(params, [column[i * a + g] for i in range(n)])
-        if not out.ok:
+        out = oracles.support_decode(params, [column[i * a + g] for i in range(n)])
+        if out is None:
             return None
-        flagged.update(p + 1 for p in out.errors)
+        flagged.update(p + 1 for p in out[1])
     return frozenset(flagged)
 
 
-def edge_primes(n):
-    """The largest prime p whose sums of n products mod p fit int64, and
-    the next prime, whose sums do not."""
-    above = math.isqrt(matrix._INT64_MAX // n) + 2
-    while not is_prime(above):
-        above += 1
-    below = above - 1
-    while not is_prime(below):
-        below -= 1
-    return below, above
-
-
-EDGE_P, PAST_EDGE_P = edge_primes(6)
-# (q, n, k): t1 = 1 to 4, and the largest p the bulk path takes at n = 6
-BULK_CASES = {"GF3": (3, 3, 1), "GF7": (7, 6, 2), "GF17": (17, 7, 3),
-              "GF257": (257, 12, 6), "GF65537": (65537, 10, 2), "edge": (EDGE_P, 6, 2)}
+EDGE_P, PAST_EDGE_P = oracles.edge_primes(6)
+# (field, n, k): t1 = 1 to 4, the largest p whose products of n = 6
+# terms fit int64 and the next prime, p ~ 3*10^9, and two extension fields
+BULK_CASES = {"GF3": (make_field(3), 3, 1), "GF7": (F7, 6, 2),
+              "GF17": (make_field(17), 7, 3), "GF257": (make_field(257), 12, 6),
+              "GF65537": (make_field(65537), 10, 2), "edge": (make_field(EDGE_P), 6, 2),
+              "past-edge": (make_field(PAST_EDGE_P), 6, 2),
+              "p3000000019": (make_field(3000000019), 6, 2),
+              "GF8": (make_field(2, 3), 6, 2), "GF9": (make_field(3, 2), 7, 3)}
 
 
 @st.composite
-def corrupted_hash_block(draw, q, n, k):
+def corrupted_hash_block(draw, f, n, k):
     """(params, H): 1-4 hash vectors of random data, in the columns of H,
     each with 0 to t1 + 2 bad nodes (node 1, evaluation point 0, among
     them when drawn) whose symbols move by drawn offsets, 0 included."""
     B = draw(st.integers(1, 4))
-    params = CodeParams(n, k, make_field(q), B)
+    params = CodeParams(n, k, f, B)
     a, t1 = params.alpha, params.t1
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    H = encode(params, None, random_matrix(rng, k * a, B, q))
+    H = encode(params, None, random_matrix(rng, k * a, B, f.q))
     for b in range(B):
         bad = draw(st.sets(st.integers(0, n - 1), max_size=min(n, t1 + 2)))
         if draw(st.booleans()):
             bad = {0, *list(bad)[:t1 + 1]}
         for i in bad:
             for g in range(a):
-                H[i * a + g][b] = (H[i * a + g][b] + draw(st.integers(0, q - 1))) % q
+                H[i * a + g][b] = f.add(H[i * a + g][b], draw(st.integers(0, f.q - 1)))
     return params, H
 
 
-@pytest.mark.parametrize("q,n,k", BULK_CASES.values(), ids=BULK_CASES.keys())
+@pytest.mark.parametrize("f,n,k", BULK_CASES.values(), ids=BULK_CASES.keys())
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_bulk_hash_word_decode_matches_scalar_replay(q, n, k, data):
-    params, H = data.draw(corrupted_hash_block(q, n, k))
-    assert code._bulk_tables(params) is not None
+def test_bulk_hash_word_decode_matches_scalar_replay(f, n, k, data):
+    params, H = data.draw(corrupted_hash_block(f, n, k))
     want = [replay_flags(params, column) for column in zip(*H)]
     assert hash_word_decode(params, H) == want
 
@@ -516,23 +505,21 @@ def polynomial_data(rng, params):
     return X, C
 
 
-# (code, whether encode takes the batched int64 route): EDGE_P is the
-# largest prime whose sums of 6 products fit int64, so at k = 6 it is the
-# largest p of that route, and PAST_EDGE_P takes the per-group mat_mul
-ENCODE_CASES = {"GF257": (CodeParams(8, 6, make_field(257), 5), True),
-                "edge": (CodeParams(8, 6, make_field(EDGE_P), 5), True),
-                "past-edge": (CodeParams(8, 6, make_field(PAST_EDGE_P), 5), False),
-                "GF9": (CodeParams(7, 5, make_field(3, 2), 5), False)}
+# EDGE_P is the largest prime whose sums of 6 products fit int64, so at
+# k = 6 PAST_EDGE_P is the first whose products run over Python ints
+ENCODE_CASES = {"GF257": CodeParams(8, 6, make_field(257), 5),
+                "edge": CodeParams(8, 6, make_field(EDGE_P), 5),
+                "past-edge": CodeParams(8, 6, make_field(PAST_EDGE_P), 5),
+                "GF9": CodeParams(7, 5, make_field(3, 2), 5)}
 
 
-@pytest.mark.parametrize("params,batched", ENCODE_CASES.values(), ids=ENCODE_CASES.keys())
-def test_encode_matches_polynomial_evaluation(params, batched):
+@pytest.mark.parametrize("params", ENCODE_CASES.values(), ids=ENCODE_CASES.keys())
+def test_encode_matches_polynomial_evaluation(params):
     X, C = polynomial_data(np.random.default_rng(params.field.q % 1000), params)
-    assert (code._int64_generator(params) is not None) == batched
     assert encode(params, None, X) == C
-    if params.field.s == 1:
-        got = code.encode_array(params, np.array(X, dtype=np.int64))
-        assert got.dtype == np.int64 and got.tolist() == C
+    kern = kernel(params.field)
+    got = code.encode_array(params, kern.asarray(np.array(X, dtype=np.int64)))
+    assert got.dtype == kern.dtype and got.tolist() == C
 
 
 @pytest.mark.parametrize("f", [make_field(257), make_field(EDGE_P)], ids=["GF257", "edge"])
@@ -549,22 +536,23 @@ def test_encode_rejects_non_elements(f, value):
                                make_field(3, 2), make_field(2, 3)],
                          ids=["p3000000019", "past-edge", "GF9", "GF8"])
 def test_scalar_fields_take_the_scalar_path(monkeypatch, f):
+    # every field, past int64 and extension fields included, decodes
+    # through the one kernel path
     params = CodeParams(6, 2, f, 3)
     a = params.alpha
     H = encode(params, None, random_matrix(np.random.default_rng(41), 2 * a, 3, f.q))
     for g in range(a):  # node 1 misreports in hash vector 0
         H[g][0] = f.add(H[g][0], 1)
-    screened = []
+    decoded = []
 
     def spy(params, words):
-        screened.append(len(words[0]))
-        return decode_columns(params, words)
+        decoded.append(words.shape[1])
+        return gao_block(params, words)
 
-    monkeypatch.setattr(code, "decode_columns", spy)
-    monkeypatch.setattr(code, "_gao_block", lambda *args: pytest.fail("bulk decode"))
-    assert code._bulk_tables(params) is None
+    gao_block = code._gao_block
+    monkeypatch.setattr(code, "_gao_block", spy)
     assert hash_word_decode(params, H) == [frozenset({1}), frozenset(), frozenset()]
-    assert screened == [3] * a
+    assert decoded == [a]
 
 
 def test_bulk_hash_word_decode_checks_every_symbol():

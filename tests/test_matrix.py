@@ -1,11 +1,16 @@
-"""The matrix kernels: the prime-field bulk path against the scalar
-reference, entry checks, and row_rank against an enumeration oracle.
+"""The matrix operations and the array kernels: each kernel against
+plain field calls, entry checks, and row_rank against an enumeration
+oracle.
 
-Wrapping a field in experiments.CountingField sends every kernel down
-its scalar path, where each operation goes through the field's own
-checked arithmetic; that is the reference the bulk path must match.
+Wrapping a field in experiments.CountingField sends it to the field
+kernel, where each operation goes through the field's own checked
+arithmetic; mat_mul, mat_add, mat_sub and row_rank over the wrapped
+field are the reference the prime kernel must match.
 """
 
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +19,19 @@ import oracles
 from nxmds.errors import FieldMismatch, ShapeMismatch
 from nxmds.experiments import CountingField
 from nxmds.field import make_field
-from nxmds.matrix import mat_add, mat_mul, mat_sub, row_rank
+from nxmds.matrix import kernel, mat_add, mat_mul, mat_sub, row_rank
 
 F7 = make_field(7)
 GF8 = make_field(2, 3)
-P_BIG = 3_000_000_019  # len(b) * (p-1)^2 passes int64: mat_mul's Python-int path
+P_BIG = 3_000_000_019  # len(b) * (p-1)^2 passes int64: the kernel's Python-int products
 BULK_FIELDS = [make_field(2), F7, make_field(257), make_field(P_BIG)]
+EDGE_P, PAST_EDGE_P = oracles.edge_primes(6)
+# every kind of kernel: prime within int64 (up to the largest p whose
+# products of 6 terms fit), prime past int64, extension, instrumented
+KERNEL_FIELDS = {"GF2": make_field(2), "GF4": make_field(2, 2), "GF8": GF8,
+                 "GF9": make_field(3, 2), "GF257": make_field(257),
+                 "edge": make_field(EDGE_P), "past-edge": make_field(PAST_EDGE_P),
+                 "p3000000019": make_field(P_BIG), "counting-GF7": CountingField(F7)}
 
 
 def matrices(q, rows, cols):
@@ -102,7 +114,7 @@ def test_row_rank_matches_row_space_oracle(case):
     assert row_rank(f, rows) == oracles.row_space_rank(f, rows)
 
 
-# GF(2^3) runs row_rank's scalar path: wide rows, zero rows, repeated
+# GF(2^3) runs row_rank on the field kernel: wide rows, zero rows, repeated
 # and dependent rows, and a pivot column that moves past the first
 GF8_RANK_CASES = [
     ([[1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4]], 1),
@@ -164,3 +176,112 @@ def test_mat_mul_shape_errors():
     with pytest.raises(ShapeMismatch):
         mat_mul(F7, [[1, 2], [3]], [[1], [2]])
     assert mat_mul(F7, [], [[1]]) == []
+
+
+@pytest.mark.parametrize("f", [F7, GF8], ids=["GF7", "GF8"])
+def test_shape_errors_raise(f):
+    with pytest.raises(ShapeMismatch):
+        mat_add(f, [[1, 2], [3]], [[1, 2], [3, 4]])
+    with pytest.raises(ShapeMismatch):
+        mat_sub(f, [[1, 2], [3, 4]], [[1, 2], [3]])
+    with pytest.raises(ShapeMismatch):
+        row_rank(f, [[1, 2], [3]])
+    with pytest.raises(ShapeMismatch):
+        mat_mul(f, [[1, 2]], [])
+    with pytest.raises(ShapeMismatch):
+        mat_add(f, [[1, 2]], [[1, 2], [3, 4]])
+    assert mat_mul(f, [[], []], []) == [[], []]  # sums of no terms
+
+
+# -- the kernels against plain field calls ---------------------------------
+
+def ref_matmul(f, a, b):
+    return [[functools.reduce(f.add, map(f.mul, row, col), 0) for col in zip(*b)]
+            for row in a]
+
+
+def ref_rank(f, rows):
+    """Column-by-column Gauss-Jordan elimination with field calls."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = f.inv(pivot[col])
+        rows = [[f.sub(x, f.mul(f.mul(r[col], inv), y)) for x, y in zip(r, pivot)]
+                for r in rows]
+        rank += 1
+    return rank
+
+
+@st.composite
+def kernel_case(draw):
+    """A kernel field and two stacks of 1-3 conformable matrices, with
+    up to 8 terms per sum: past the 6 that EDGE_P's int64 products hold."""
+    f = draw(st.sampled_from(list(KERNEL_FIELDS.values())))
+    s, r, K, c = (draw(st.integers(1, top)) for top in (3, 4, 8, 4))
+    a = draw(st.lists(matrices(f.q, r, K), min_size=s, max_size=s))
+    b = draw(st.lists(matrices(f.q, K, c), min_size=s, max_size=s))
+    return f, a, b
+
+
+def _stack(kern, mats):
+    return np.stack([kern.asarray(m) for m in mats])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case())
+def test_kernel_ops_match_field_calls(case):
+    f, a, b = case
+    kern = kernel(f)
+    A, B = _stack(kern, a), _stack(kern, b)
+    assert kern.matmul(A, B).tolist() == [ref_matmul(f, x, y) for x, y in zip(a, b)]
+    assert kern.matmul(A[0], B).tolist() == [ref_matmul(f, a[0], y) for y in b]
+    other = A[::-1]
+    for op in ("add", "sub", "mul"):
+        want = [[list(map(getattr(f, op), u, v)) for u, v in zip(x, y)]
+                for x, y in zip(A.tolist(), other.tolist())]
+        assert getattr(kern, op)(A, other).tolist() == want
+    nonzero = A[A != 0]
+    assert kern.inv(nonzero).tolist() == [f.inv(x) for x in nonzero.tolist()]
+    for m in a + b:
+        assert row_rank(f, m) == ref_rank(f, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_asarray_refuses_what_check_refuses(data):
+    f = data.draw(st.sampled_from(list(KERNEL_FIELDS.values())))
+    rows = data.draw(matrices(f.q, 2, 3))
+    i, j = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
+    rows[i][j] = value = data.draw(st.one_of(
+        st.integers(-3, f.q + 3), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+        st.floats(allow_nan=False), st.builds(np.int64, st.integers(0, 6))))
+    try:
+        f.check(value)
+    except FieldMismatch:
+        with pytest.raises(FieldMismatch, match="is not an element of"):
+            kernel(f).asarray(rows)
+    else:
+        assert kernel(f).asarray(rows).tolist() == [[int(x) for x in row] for row in rows]
+    if isinstance(value, (int, np.integer)) and -2 ** 63 <= value < 2 ** 63:
+        # the same entries as an integer array: one vectorised range test
+        arr = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
+        if 0 <= value < f.q:
+            assert kernel(f).asarray(arr).tolist() == arr.tolist()
+        else:
+            with pytest.raises(FieldMismatch):
+                kernel(f).asarray(arr)
+
+
+@pytest.mark.parametrize("f", KERNEL_FIELDS.values(), ids=KERNEL_FIELDS.keys())
+def test_asarray_takes_only_matrices(f):
+    kern = kernel(f)
+    for bad in ([[1, 0], [1]], np.zeros(3, dtype=np.int64), np.zeros((2, 2, 2), dtype=np.int64)):
+        with pytest.raises(ShapeMismatch):
+            kern.asarray(bad)
+    assert kern.asarray([]).shape == (0, 0)
+    assert kern.asarray(np.zeros((2, 3), dtype=np.uint8)).dtype == kern.dtype
+    with pytest.raises(FieldMismatch):  # a float is no element, integral or not
+        kern.asarray(np.zeros((2, 3)))

@@ -13,7 +13,7 @@ from nxmds import storage
 from nxmds.code import CodeParams, make_code
 from nxmds.errors import BadModel, DataTooLarge, NoGroundTruth, ShapeMismatch
 from nxmds.field import field_from_order, make_field
-from nxmds.matrix import dot, mat_sub, row_rank
+from nxmds.matrix import dot, kernel, mat_sub, row_rank
 from nxmds.storage import (
     ErrorPlan,
     corrupt,
@@ -318,7 +318,7 @@ def test_declared_rank_by_row_space_enumeration(params, model, f):
 
 @pytest.mark.parametrize("f", [F17, make_field(3, 2)], ids=["GF17", "GF9"])
 def test_rank_one_check(f):
-    rank_one = storage._product(f, np.array([[1], [0], [2]]), np.array([[3, 0, 1]]))
+    rank_one = kernel(f).matmul(np.array([[1], [0], [2]]), np.array([[3, 0, 1]]))
     storage._check_rank_one(f, rank_one, 1)
     with pytest.raises(RuntimeError, match="node 2 has rank above 1"):
         storage._check_rank_one(f, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 2)
