@@ -14,12 +14,14 @@ verifier.verify (one column) and the Monte Carlo engine
 (experiments.mc_failure_rate, a block of audits) go through it.  It
 runs on the field's array kernel (matrix.kernel), for every field: the
 block becomes one kernel array, every symbol checked once by the
-kernel's asarray.  One parity product screens every group word of every
-column; the errored ones decode together (_gao_block: one product with
-Gao's interpolation matrix, the extended Euclid word by word, one
-product with the evaluation rows), and one parity product confirms
-every corrected word.  encode is one stacked product of the same
-kernel.  The fixed arrays are cached per CodeParams (_tables), and
+kernel's asarray.  One syndrome product with the GRS parity-check
+matrix screens every group word of every column; the errored ones
+decode together in a fixed number of kernel operations (_lockstep_block:
+inversionless Berlekamp-Massey, a Chien search and Forney's formula,
+over all words at once), and one parity product confirms every
+corrected word.  Gao's decoder is the independent check in
+tests/oracles.py.  encode is one stacked product of the same kernel.
+The fixed arrays are cached per CodeParams (_tables), and
 decode_codeword is the one-column case.
 
 Evaluation points are the first n elements of the canonical enumeration
@@ -32,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,7 +136,7 @@ def encode_array(params: CodeParams, X: np.ndarray) -> np.ndarray:
     checked again.  One stacked product of the n x k weights with all
     alpha groups, interleaved by node."""
     a, k, n, N = params.alpha, params.k, params.n, params.N
-    groups = kernel(params.field).matmul(_tables(params)[0], X.reshape(a, k, N))
+    groups = kernel(params.field).matmul(_tables(params).weights, X.reshape(a, k, N))
     return groups.transpose(1, 0, 2).reshape(n * a, N)  # groups: alpha x n x N
 
 
@@ -220,74 +223,64 @@ class DecodeOutcome:
 _UNDECODABLE = DecodeOutcome(False, None, None, None)
 
 
-def _strip(a: list[int]) -> list[int]:
-    """Drop trailing zero coefficients in place; the zero polynomial is []."""
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+class _Tables(NamedTuple):
+    """The code's fixed arrays, in the field's kernel (_tables)."""
 
-
-def _poly_divmod(f, a, b) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b != 0.  Polynomials are coefficient
-    lists in ascending degree without trailing zeros."""
-    r = list(a)
-    *low, lead = b
-    db = len(low)
-    inv = f.inv(lead)
-    q = [0] * max(len(r) - db, 0)
-    for i in reversed(range(len(q))):
-        c = q[i] = r[i + db] * inv % f.p if f.s == 1 else f.mul(r[i + db], inv)
-        for j, x in enumerate(low, i):
-            r[j] = (r[j] - c * x) % f.p if f.s == 1 else f.sub(r[j], f.mul(c, x))
-    return q, _strip(r[:db])
-
-
-def _poly_sub_mul(f, a, q, b) -> list[int]:
-    """a - q*b."""
-    out = list(a) + [0] * max(len(q) + len(b) - 1 - len(a), 0)
-    for i, c in enumerate(q):
-        for j, x in enumerate(b, i):
-            out[j] = (out[j] - c * x) % f.p if f.s == 1 else f.sub(out[j], f.mul(c, x))
-    return _strip(out)
+    weights: np.ndarray  # n x k systematic weights; encode's generator
+    checks: np.ndarray   # n-k x n parity checks H[j][i] = v_i a_i^j
+    chien: np.ndarray    # t1+1 x n-1: a_i^-j at the nonzero points
+    slope: np.ndarray    # t1 x n-1: (j+1) a_i^-j, the locator's derivative
+    forney: np.ndarray   # n-1: -a_i at the nonzero points
+    scale: np.ndarray    # n: 1/v_i = prod_{l != i} (a_i - a_l)
+    lag: np.ndarray      # t1+1 x n-k int index j - i, n-k where j < i
 
 
 @lru_cache(maxsize=None)
-def _tables(params: CodeParams):
-    """The code's fixed arrays, in the field's kernel: the n x k
-    systematic weights (_subset_weights at anchors 0..k-1; encode's
-    generator, whose rows k..n-1 are the parity checks), and Gao's fixed
-    polynomials: g0 = prod (x - a_i) over the evaluation points (a
-    tuple), the n x n interpolation matrix (row j maps a word to
-    coefficient j of the polynomial of degree < n through it) and the
-    n x k evaluation rows (1, a_i, ..., a_i^(k-1))."""
-    f, k, pts = params.field, params.k, params.eval_points
+def _tables(params: CodeParams) -> _Tables:
+    """The code's fixed arrays (_Tables), built once per CodeParams with
+    field calls.  v_i is the column multiplier of the dual code: with
+    the evaluation points a_i, sum_i v_i a_i^j c_i = 0 for every
+    codeword c and j < n-k.  The Chien, slope and Forney rows skip
+    a_0 = 0 (node 1), which the decoder handles apart."""
+    f, n, k, t1 = params.field, params.n, params.k, params.t1
+    d = n - k
     kern = kernel(f)
-    g0 = [1]
+    pts = params.eval_points
+    scale = []
     for a in pts:
-        g0 = _poly_sub_mul(f, [0] + g0, [a], g0)
-    columns = []
-    for a in pts:
-        # Lagrange basis polynomial of a: g0 / (x - a), scaled to 1 at a
-        basis, _ = _poly_divmod(f, g0, [f.neg(a), 1])
-        den = 1
+        acc = 1
         for b in pts:
             if b != a:
-                den = f.mul(den, f.sub(a, b))
-        inv = f.inv(den)
-        columns.append([f.mul(inv, c) for c in basis])
-    interp = list(zip(*columns))
-    evals = [[f.pow(a, j) for j in range(k)] for a in pts]
-    weights = _subset_weights(params, tuple(range(k)))
-    return kern.asarray(weights), tuple(g0), kern.asarray(interp), kern.asarray(evals)
+                acc = f.mul(acc, f.sub(a, b))
+        scale.append(acc)
+    checks = [[f.inv(s) for s in scale]]
+    for _ in range(d - 1):
+        checks.append([f.mul(h, a) for h, a in zip(checks[-1], pts)])
+    chien = [[1] * (n - 1)]
+    for _ in range(t1):
+        chien.append([f.div(c, a) for c, a in zip(chien[-1], pts[1:])])
+    slope, j = [], 0
+    for row in chien[:t1]:
+        j = f.add(j, 1)  # the integer j+1 as a field element
+        slope.append([f.mul(j, c) for c in row])
+    lag = np.arange(d)[None, :] - np.arange(t1 + 1)[:, None]
+    lag[lag < 0] = d
+    return _Tables(kern.asarray(_subset_weights(params, tuple(range(k)))),
+                   kern.asarray(checks), kern.asarray(chien),
+                   kern.asarray(slope).reshape(t1, n - 1),
+                   kern.asarray([[f.neg(a) for a in pts[1:]]])[0],
+                   kern.asarray([scale])[0], lag)
+
+
+def _syndromes(params: CodeParams, words: np.ndarray) -> np.ndarray:
+    """The n-k x m syndromes H words of the n x m kernel array."""
+    return kernel(params.field).matmul(_tables(params).checks, words)
 
 
 def _parity_fails(params: CodeParams, words: np.ndarray) -> np.ndarray:
-    """Per column of the n x m kernel array: whether the word fails the
-    code's n-k parity checks, i.e. its last n-k symbols differ from the
-    systematic interpolation of its first k."""
-    k = params.k
-    checks = _tables(params)[0][k:]
-    return (kernel(params.field).matmul(checks, words[:k]) != words[k:]).any(axis=0)
+    """Per column of the n x m kernel array: whether the word has a
+    nonzero syndrome, i.e. fails one of the code's n-k parity checks."""
+    return (_syndromes(params, words) != 0).any(axis=0)
 
 
 def _column(params: CodeParams, word) -> np.ndarray:
@@ -297,27 +290,15 @@ def _column(params: CodeParams, word) -> np.ndarray:
     return kernel(params.field).asarray([[v] for v in word])
 
 
-def is_codeword(params: CodeParams, word) -> bool:
-    """True when the n-symbol word satisfies the code's n-k parity
-    checks."""
-    return not _parity_fails(params, _column(params, word))[0]
-
-
 def decode_codeword(params: CodeParams, word) -> DecodeOutcome:
     """Bounded-distance decoding: the unique codeword within distance t1
     of the word, or failure.  The one-column case of _decode_words.
 
     A codeword within t1 is unique (2*t1 < n-k+1), so this is also the
     minimum-distance answer whenever one exists within the radius.  A
-    word that passes is_codeword is returned as is.  Any other word
-    goes through Gao's decoder (S. Gao, "A new algorithm for
-    decoding Reed-Solomon codes", 2003): interpolate g1 through the word,
-    run the extended Euclidean algorithm on g0 = prod (x - a_i) and g1
-    until the remainder g = u*g0 + v*g1 has degree < (n+k)/2, and divide
-    g by v.  With at most t1 errors the division is exact and the
-    quotient is the message polynomial.  The result is accepted only
-    when the remainder is 0 and the quotient has degree < k.  That costs
-    O(n^2) field operations per word.
+    word whose syndrome is zero is returned as is; any other goes
+    through the syndrome decoder (_lockstep_block), O((n-k)^2 + n t1)
+    field operations per word.
     """
     received = _column(params, word)
     cw, ok = _decode_words(params, received)
@@ -357,53 +338,85 @@ def hash_word_decode(params: CodeParams, H) -> list[frozenset[int] | None]:
 
 def _decode_words(params: CodeParams, words: np.ndarray):
     """Every column of the n x m kernel array `words` decoded: returns
-    the codewords (n x m) and the mask of decodable columns.  One parity
-    product screens the columns; only those that fail it go through
-    _gao_block, together.  An undecodable column keeps its received
-    symbols.  One parity product confirms every corrected word
-    (SingularSystem when one is not a codeword)."""
+    the codewords (n x m) and the mask of decodable columns.  One
+    syndrome product screens the columns; only those with a nonzero
+    syndrome go through _lockstep_block, together.  An undecodable
+    column keeps its received symbols.  One parity product confirms
+    every corrected word (SingularSystem when one is not a codeword)."""
+    S = _syndromes(params, words)
     cw, ok = words.copy(), np.ones(words.shape[1], dtype=bool)
-    errored = np.flatnonzero(_parity_fails(params, words))
+    errored = np.flatnonzero((S != 0).any(axis=0))
     if errored.size:
-        fixed, good = _gao_block(params, words[:, errored])
-        if _parity_fails(params, fixed[:, good]).any():
+        errors, good = _lockstep_block(params, S[:, errored])
+        fixed = kernel(params.field).sub(words[:, errored[good]], errors[:, good])
+        if _parity_fails(params, fixed).any():
             raise SingularSystem("corrected hash word is not a codeword")
-        cw[:, errored[good]] = fixed[:, good]
+        cw[:, errored[good]] = fixed
         ok[errored[~good]] = False
     return cw, ok
 
 
-def _gao_block(params: CodeParams, words):
-    """Gao's decoder (decode_codeword) on every column of the n x m
-    kernel array `words`: one product with the interpolation matrix gives
-    every word's g1, the extended Euclid runs word by word
-    (_gao_message), and one product with the evaluation rows re-encodes
-    the messages.  Returns the codewords (n x m) and the mask of words
-    whose Euclid ended in an exact division of degree < k.  Such a word
-    needs no radius test: its errors lie at roots of v1, and
-    deg v1 = n - deg r0 <= (n-k)/2 when the Euclid stops."""
-    n, k, f = params.n, params.k, params.field
-    kern = kernel(f)
-    _, g0, interp, evals = _tables(params)
-    msgs, ok = [], []
-    for g1 in kern.matmul(interp, words).T.tolist():
-        msg = _gao_message(f, n, k, g0, g1)
-        ok.append(msg is not None)
-        msgs.append(msg or [0] * k)
-    return kern.matmul(evals, np.array(msgs, dtype=kern.dtype).T), np.array(ok)
+def _lockstep_block(params: CodeParams, S: np.ndarray):
+    """Syndrome decoding of m words at once, from their n-k x m
+    syndromes S (column w: S_j = sum_i v_i a_i^j e_i over the error
+    pattern e of word w).  Returns the error patterns (n x m, zero for
+    an undecodable word) and the mask of decodable words.
 
-
-def _gao_message(f, n: int, k: int, g0, g1) -> list[int] | None:
-    """Gao's extended Euclid and final division from the interpolated
-    g1: the k message coefficients, or None when the division is not
-    exact or its degree is >= k."""
-    r0, r1 = g0, _strip(g1)
-    v0, v1 = [], [1]
-    while 2 * (len(r1) - 1) >= n + k:  # deg r1 >= (n+k)/2
-        quot, rem = _poly_divmod(f, r0, r1)
-        r0, r1 = r1, rem
-        v0, v1 = v1, _poly_sub_mul(f, v0, quot, v1)
-    msg, rem = _poly_divmod(f, r1, v1)
-    if rem or len(msg) > k:
-        return None
-    return msg + [0] * (k - len(msg))
+    Every step is one kernel operation over all m words:
+      * the inversionless Berlekamp-Massey recursion (iBM in D. V.
+        Sarwate and N. R. Shanbhag, "High-speed architectures for
+        Reed-Solomon decoders", IEEE Trans. VLSI Systems, 2001) runs
+        exactly n-k steps, its branches replaced by np.where selects.
+        It gives each word's register length L and a nonzero multiple
+        of its connection polynomial Lambda (Lambda_0 != 0);
+      * the error locator is sigma(x) = x^L Lambda(1/x), whose roots
+        are the error points a_i.  Point a_0 = 0 (node 1) is a root iff
+        Lambda_L = 0; every other point is one iff Lambda(1/a_i) = 0,
+        the Chien search, one product with the powers of the 1/a_i;
+      * a word is decodable iff L <= t1 and sigma has L roots among the
+        points (it then has exactly one error at each);
+      * Forney's formula gives the error values at the nonzero points,
+        e_i = -a_i Omega(1/a_i) / (Lambda'(1/a_i) v_i) with
+        Omega = S Lambda mod x^(n-k), and the error at point 0 is what
+        is left of S_0: (S_0 - sum of the others' v_i e_i) / v_0.
+    Lambda, B and the rows of T are kept to their first t1+1
+    coefficients.  L never decreases, so a word whose L passes t1 is
+    undecodable whatever its later steps compute; until it does,
+    deg Lambda <= L <= t1, and every x B that enters a step has degree
+    at most the new L.  Omega of a decodable word has no term past
+    x^(L-1), so its first t1 terms are computed.
+    Characteristic 2 needs nothing apart: the derivative's row j
+    carries the field element j, zero for even j."""
+    kern, t1, d = kernel(params.field), params.t1, params.n - params.k
+    tab = _tables(params)
+    m = S.shape[1]
+    zero = np.zeros((m, 1), dtype=kern.dtype)
+    # T[w, i, j] = S_(j-i) of word w, 0 for i > j: (S Lambda)_j = Lambda_w . T[w, :, j]
+    T = np.concatenate([S.T, zero], axis=1)[:, tab.lag]
+    lam = np.concatenate([zero + 1, np.zeros((m, t1), dtype=kern.dtype)], axis=1)
+    B, gamma, L = lam, zero[:, 0] + 1, np.zeros(m, dtype=np.int64)
+    for r in range(d):
+        delta = kern.matmul(lam[:, None, :], T[:, :, r:r + 1])[:, 0, 0]
+        xB = np.concatenate([zero, B[:, :-1]], axis=1)
+        grow = (delta != 0) & (2 * L <= r)
+        lam, B = (kern.sub(kern.mul(gamma[:, None], lam), kern.mul(delta[:, None], xB)),
+                  np.where(grow[:, None], lam, xB))
+        L = np.where(grow, r + 1 - L, L)
+        gamma = np.where(grow, delta, gamma)
+    at_zero = lam[np.arange(m), np.minimum(L, t1)] == 0
+    roots = kern.matmul(lam, tab.chien) == 0
+    ok = (L <= t1) & (roots.sum(axis=1) + at_zero == L)
+    errors = np.zeros((m, params.n), dtype=kern.dtype)
+    g = np.flatnonzero(ok)
+    if g.size:
+        lam, T = lam[g], T[g]
+        omega = kern.matmul(lam[:, None, :t1], T[:, :t1, :t1])[:, 0, :]
+        w, i = np.nonzero(roots[g])
+        num = kern.matmul(omega[w, None, :], tab.chien[:t1, i].T[:, :, None])[:, 0, 0]
+        den = kern.matmul(lam[w, None, 1:], tab.slope[:, i].T[:, :, None])[:, 0, 0]
+        Y = np.zeros((g.size, params.n), dtype=kern.dtype)  # Y_i = v_i e_i
+        Y[w, i + 1] = kern.mul(kern.mul(tab.forney[i], num), kern.inv(den))
+        rest = kern.sub(S[0, g], kern.matmul(Y, np.ones((params.n, 1), dtype=kern.dtype))[:, 0])
+        Y[:, 0] = np.where(at_zero[g], rest, 0)
+        errors[g] = kern.mul(Y, tab.scale)
+    return errors.T, ok

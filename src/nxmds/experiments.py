@@ -20,16 +20,17 @@ product C R^T, C encoded once per call and R the block's vectors
 stacked, and each planned node adds its E_i r into its alpha rows.
 These are arrays of the field's kernel (matrix.kernel), for every
 field.  C is encoded once per call by code.encode_array, straight from
-the data array the rng returns; R and the stacked error rows of a block
-are converted once each, with the kernel's element check, and all the
-block's E_i r come from one stacked product.  The block's hash vectors
-then go to code.hash_word_decode, the same rule from decoded group
-words to flagged nodes that verify applies to one vector: it checks
-every symbol, one parity product screens the group words, only words
-that fail it reach the decoder, and every corrected word must be a
-codeword (SingularSystem).  Each plan must predate its vector
-(verifier.check_commitment).  An audit misses when a planned node is
-not flagged; an undecodable audit flags nothing.
+the data array the rng returns; R and the block's error rows (each
+plan's rows, the arrays its sampler drew, concatenated) are converted
+once each, with the kernel's element check, and all the block's E_i r
+come from one stacked product.  The block's hash vectors then go to
+code.hash_word_decode, the same rule from decoded group words to
+flagged nodes that verify applies to one vector: it checks every
+symbol, one syndrome product screens the group words, only words with
+a nonzero syndrome reach the lockstep decoder, and every corrected
+word must be a codeword (SingularSystem).  Each plan must predate its
+vector (verifier.check_commitment).  An audit misses when a planned
+node is not flagged; an undecodable audit flags nothing.
 
 run_trial is the one-audit path through real storage (restore, corrupt,
 hash every node, verify).  It shares hash_word_decode with the engine,
@@ -169,22 +170,20 @@ def _block_misses(params: CodeParams, C, plans, vectors) -> int:
     t = 0) and is hashed on vectors[b].  C is the kernel array of the
     encoded data; the block's hash vectors are built in kernel arrays."""
     kern, a = kernel(params.field), params.alpha
-    rows, cells = [], []  # error rows, and the (hash row, audit) each adds into
-    for b, (plan, r) in enumerate(zip(plans, vectors)):
-        if plan is None:
-            continue
-        check_commitment([plan], r)
-        for i, E in plan.entries:
-            for g, row in enumerate(E):
-                rows.append(row)
-                cells.append(((i - 1) * a + g, b))
+    planned = [(b, plan) for b, plan in enumerate(plans) if plan is not None]
+    ids, audits = [], []  # per planned node: its id and its audit
+    for b, plan in planned:
+        check_commitment([plan], vectors[b])
+        ids += [i for i, _ in plan.entries]
+        audits += [b] * len(plan.entries)
     # column b of H is audit b's hash vector: first the clean C r, then
     # E_i r into the alpha rows of every planned node
     R = kern.asarray(np.array([r.symbols for r in vectors]))
     H = kern.matmul(C, R.T)
-    if rows:
-        h, b = np.array(cells).T
-        E = kern.asarray(np.array(rows))
+    if ids:
+        h = ((np.array(ids)[:, None] - 1) * a + np.arange(a)).ravel()
+        b = np.repeat(audits, a)
+        E = kern.asarray(np.concatenate([plan.rows for _, plan in planned]))
         H[h, b] = kern.add(H[h, b], kern.matmul(E[:, None, :], R[b][:, :, None])[:, 0, 0])
     return sum(plan is not None and not plan.nodes <= (flagged or set())
                for plan, flagged in zip(plans, hash_word_decode(params, H)))

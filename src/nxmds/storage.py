@@ -19,11 +19,13 @@ sample_error_plan builds each matrix once from the rng's int64 draws.
 A rank-1 E is the outer product of the drawn coefficients and base row,
 a rank-f E the product of the drawn coefficients and bases: one matmul
 of the field's array kernel (matrix.kernel).  The declared rank is
-checked by code that runs under python -O too: a rank-1 E must pass
-_check_rank_one, an O(alpha N) test of every 2 x 2 minor through its
-first nonzero entry, and a rank-f E is redrawn until row_rank, which
-takes the drawn arrays as they are, gives f.  The stored entries are
-tuples of Python ints.
+checked by code that runs under python -O too: the plan's rank-1
+matrices must pass _check_rank_one, an O(t alpha N) test of every 2 x 2
+minor through each matrix's first nonzero entry, run once over all of
+them, and a rank-f E is redrawn until row_rank, which takes the drawn
+arrays as they are, gives f.  The stored entries are tuples of Python
+ints; the plan also keeps the stacked arrays it was built from (rows),
+which the Monte Carlo engine reads.
 """
 
 from __future__ import annotations
@@ -49,14 +51,22 @@ MODELS = ("single-cell", "random-dense", "rank-1", "rank-f", "null-against-vecto
 
 @dataclass(frozen=True)
 class ErrorPlan:
-    """Committed adversarial errors: (node id, alpha x N matrix) pairs."""
+    """Committed adversarial errors: (node id, alpha x N matrix) pairs.
+
+    rows stacks the entries' matrices in order, t*alpha x N, as an array
+    (int64 when every symbol fits); it is not part of the plan's
+    equality, hash or repr.  sample_error_plan hands in the arrays it
+    drew (drawn); any other construction, dataclasses.replace included,
+    converts the entries once."""
 
     entries: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
     model: str
     declared_rank: int | None = None
     committed_at: int = dataclasses.field(default_factory=clock.tick)
+    drawn: dataclasses.InitVar[np.ndarray | None] = None
+    rows: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, drawn):
         if self.model not in MODELS:
             raise BadModel(f"unknown error model {self.model!r}")
         seen = set()
@@ -66,6 +76,12 @@ class ErrorPlan:
             seen.add(i)
             if not any(any(row) for row in rows):
                 raise ValueError(f"node {i} has an all-zero error matrix")
+        if drawn is None:
+            try:
+                drawn = np.array([row for _, rows in self.entries for row in rows])
+            except ValueError:
+                raise ShapeMismatch("the rows of a plan's error matrices differ in length") from None
+        object.__setattr__(self, "rows", drawn)
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -231,20 +247,25 @@ def _orthogonal_row(rng, field, target) -> list[int]:
             return row
 
 
-def _check_rank_one(field, E: np.ndarray, node: int) -> None:
-    """Raise unless E is nonzero and every entry satisfies
-    E[r, c] E[r0, c0] = E[r, c0] E[r0, c], (r0, c0) the first nonzero
-    entry: E is then the outer product of its column c0 and row r0
-    scaled by 1/E[r0, c0], so of rank 1.  Two products of one-term
-    sums, alpha x N entries each."""
-    nonzero = np.flatnonzero(E)
-    if not nonzero.size:
-        raise RuntimeError(f"rank-1 error matrix of node {node} is zero")
-    r0, c0 = divmod(int(nonzero[0]), E.shape[1])
+def _check_rank_one(field, E: np.ndarray, nodes) -> None:
+    """Raise unless every matrix E[j] of the t x alpha x N stack is
+    nonzero and every entry satisfies E[r, c] E[r0, c0] = E[r, c0] E[r0, c],
+    (r0, c0) its first nonzero entry: E[j] is then the outer product of
+    its column c0 and row r0 scaled by 1/E[r0, c0], so of rank 1.  Two
+    products of one-term sums, t x alpha x N entries each.  The error
+    names the first failing matrix by its node id, nodes[j]."""
+    t, a, N = E.shape
+    flat = E.reshape(t, a * N)
+    first = (flat != 0).argmax(axis=1)  # 0 in a zero matrix, whose pivot is then 0
+    j = np.arange(t)
+    pivot = flat[j, first]
     kern = kernel(field)
-    scaled = kern.matmul(E[r0:r0 + 1, c0:c0 + 1], E.reshape(1, -1))
-    if (scaled.reshape(E.shape) != kern.matmul(E[:, c0:c0 + 1], E[r0:r0 + 1])).any():
-        raise RuntimeError(f"rank-1 error matrix of node {node} has rank above 1")
+    outer = kern.mul(E[j, :, first % N][:, :, None], E[j, first // N][:, None, :])
+    minors = kern.mul(pivot[:, None], flat) != outer.reshape(t, a * N)
+    if np.count_nonzero(pivot) < t or np.count_nonzero(minors):
+        fail = int(((pivot == 0) | minors.any(axis=1)).argmax())
+        problem = "is zero" if pivot[fail] == 0 else "has rank above 1"
+        raise RuntimeError(f"rank-1 error matrix of node {nodes[fail]} {problem}")
 
 
 def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
@@ -274,24 +295,22 @@ def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
         if N == 1:
             raise BadModel("no nonzero row is orthogonal to a length-1 target")
 
-    entries = []
-    for i in W:
+    kern = kernel(fld)
+    drawn = np.zeros((t, a, N), dtype=np.int64)
+    for E, i in zip(drawn, W):
         if model == "single-cell":
-            E = [[0] * N for _ in range(a)]
             r = int(rng.integers(a))
             c = int(rng.integers(N))
-            E[r][c] = 1 + int(rng.integers(q - 1))
+            E[r, c] = 1 + int(rng.integers(q - 1))
         elif model == "random-dense":
-            E = [_nonzero_row(rng, q, N).tolist() for _ in range(a)]
+            E[:] = [_nonzero_row(rng, q, N) for _ in range(a)]
         elif model == "rank-1":
             base = _nonzero_row(rng, q, N)
             while True:
                 coeffs = rng.integers(0, q, size=a)
                 if np.count_nonzero(coeffs):
                     break
-            outer = kernel(fld).matmul(coeffs[:, None], base[None, :])
-            _check_rank_one(fld, outer, i)
-            E = outer.tolist()
+            E[:] = kern.matmul(coeffs[:, None], base[None, :])
         elif model == "rank-f":
             while True:
                 bases = np.array([_nonzero_row(rng, q, N) for _ in range(f)])
@@ -299,12 +318,12 @@ def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
                     break
             while True:
                 coeffs = np.array([rng.integers(0, q, size=f) for _ in range(a)])
-                E = kernel(fld).matmul(coeffs, bases)
+                E[:] = kern.matmul(coeffs, bases)
                 if row_rank(fld, E) == f:
                     break
-            E = E.tolist()
         else:
-            E = [_orthogonal_row(rng, fld, list(target)) for _ in range(a)]
-        entries.append((i, tuple(map(tuple, E))))
-
-    return ErrorPlan(tuple(entries), model, declared_rank=declared)
+            E[:] = [_orthogonal_row(rng, fld, list(target)) for _ in range(a)]
+    if model == "rank-1":
+        _check_rank_one(fld, drawn, W)
+    entries = tuple((i, tuple(map(tuple, E))) for i, E in zip(W, drawn.tolist()))
+    return ErrorPlan(entries, model, declared_rank=declared, drawn=drawn.reshape(t * a, N))

@@ -4,8 +4,9 @@ Everything here recomputes expected values by a different route than the
 library: codewords come from direct polynomial evaluation over the
 coefficient basis (not the systematic Lagrange construction), and
 decoding is exhaustive minimum-distance search over the full codebook,
-or over every error support (support_decode).  Slow on purpose; use
-only at small parameters.  The .nxm reference codec packs and parses
+or over every error support (support_decode), or Gao's algebraic
+decoder (gao_decode), an algorithm unrelated to the library's syndrome
+decoder.  Slow on purpose; use only at small parameters.  The .nxm reference codec packs and parses
 one symbol at a time.
 """
 
@@ -98,6 +99,71 @@ def support_decode(params, word):
                 cw = tuple(lagrange_values(f, known, pts))
                 return cw, frozenset(p for p in range(n) if cw[p] != word[p])
     return None
+
+
+def _strip(a):
+    """Drop trailing zero coefficients in place; the zero polynomial is []."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_divmod(f, a, b):
+    """Quotient and remainder of a by b != 0.  Polynomials are coefficient
+    lists in ascending degree without trailing zeros."""
+    r = list(a)
+    *low, lead = b
+    db = len(low)
+    inv = f.inv(lead)
+    q = [0] * max(len(r) - db, 0)
+    for i in reversed(range(len(q))):
+        c = q[i] = f.mul(r[i + db], inv)
+        for j, x in enumerate(low, i):
+            r[j] = f.sub(r[j], f.mul(c, x))
+    return q, _strip(r[:db])
+
+
+def _poly_sub_mul(f, a, q, b):
+    """a - q*b."""
+    out = list(a) + [0] * max(len(q) + len(b) - 1 - len(a), 0)
+    for i, c in enumerate(q):
+        for j, x in enumerate(b, i):
+            out[j] = f.sub(out[j], f.mul(c, x))
+    return _strip(out)
+
+
+def gao_decode(params, word):
+    """Gao's decoder (S. Gao, "A new algorithm for decoding Reed-Solomon
+    codes", 2003): the codeword within distance t1 of the word, or None.
+    Interpolate g1 through the word, run the extended Euclidean algorithm
+    on g0 = prod (x - a_i) and g1 until the remainder g = u*g0 + v*g1 has
+    degree < (n+k)/2, and divide g by v.  With at most t1 errors the
+    division is exact and the quotient, of degree < k, is the message
+    polynomial; otherwise the word is undecodable."""
+    f, n, k = params.field, params.n, params.k
+    pts = params.eval_points
+    g0 = [1]
+    for a in pts:
+        g0 = _poly_sub_mul(f, [0] + g0, [a], g0)
+    g1 = []
+    for a, y in zip(pts, word):
+        # y times the Lagrange basis polynomial of a: g0 / (x - a), 1 at a
+        basis, _ = _poly_divmod(f, g0, [f.neg(a), 1])
+        den = 1
+        for b in pts:
+            if b != a:
+                den = f.mul(den, f.sub(a, b))
+        g1 = _poly_sub_mul(f, g1, [f.neg(f.div(y, den))], basis)
+    r0, r1 = g0, g1
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= n + k:  # deg r1 >= (n+k)/2
+        quot, rem = _poly_divmod(f, r0, r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, _poly_sub_mul(f, v0, quot, v1)
+    msg, rem = _poly_divmod(f, r1, v1)
+    if rem or len(msg) > k:
+        return None
+    return tuple(poly_eval(f, msg, a) for a in pts)
 
 
 def edge_primes(terms):

@@ -483,6 +483,56 @@ def test_bulk_hash_word_decode_matches_scalar_replay(f, n, k, data):
     assert hash_word_decode(params, H) == want
 
 
+# (field, n, k) for the syndrome decoder against the oracles: q = n over
+# GF(3), GF(5), GF(7) and GF(8); odd n-k (GF5, p3000000019, GF5-t0);
+# t1 = 0 (GF5-t0); the int64 edge and past it; characteristic 2 (GF8 at
+# t1 = 3, so node 1 and two more errors leave a locator of degree 2,
+# whose derivative loses its x term) and GF(9)
+LOCKSTEP_CASES = {"GF3": (make_field(3), 3, 1), "GF5": (F5, 5, 2), "GF7": (F7, 7, 3),
+                  "GF257": (make_field(257), 8, 2), "edge": (make_field(EDGE_P), 6, 2),
+                  "past-edge": (make_field(PAST_EDGE_P), 6, 2),
+                  "p3000000019": (make_field(3000000019), 7, 2),
+                  "GF8": (make_field(2, 3), 8, 2), "GF9": (make_field(3, 2), 7, 3),
+                  "GF5-t0": (F5, 4, 3)}
+
+
+def near_codewords(rng, params, count):
+    """count words: a codeword (a drawn polynomial of degree < k at the
+    evaluation points) with 0 to t1 + 2 symbols moved by nonzero
+    offsets, node 1 (evaluation point 0) always among them."""
+    f, n, k = params.field, params.n, params.k
+    words = []
+    for _ in range(count):
+        coeffs = [int(v) for v in rng.integers(0, f.q, size=k)]
+        word = [oracles.poly_eval(f, coeffs, x) for x in params.eval_points]
+        size = int(rng.integers(0, min(n, params.t1 + 2) + 1))
+        bad = {0, *(int(i) for i in rng.choice(np.arange(1, n), size=max(size - 1, 0), replace=False))}
+        for i in bad if size else ():
+            word[i] = f.add(word[i], 1 + int(rng.integers(f.q - 1)))
+        words.append(word)
+    return words
+
+
+@pytest.mark.parametrize("f,n,k", LOCKSTEP_CASES.values(), ids=LOCKSTEP_CASES.keys())
+def test_lockstep_decoder_matches_oracles(f, n, k):
+    # one block of words in lockstep, every outcome against Gao's decoder
+    # and support enumeration, and against the whole codebook where it is
+    # small; decode_codeword runs each word alone
+    params = CodeParams(n, k, f, 1)
+    words = near_codewords(np.random.default_rng(n * k), params, 60)
+    cw, ok = code._decode_words(params, kernel(f).asarray([list(c) for c in zip(*words)]))
+    got = [tuple(c) if good else None for c, good in zip(cw.T.tolist(), ok)]
+    assert got == [oracles.gao_decode(params, w) for w in words]
+    supports = [oracles.support_decode(params, w) for w in words]
+    assert got == [None if out is None else out[0] for out in supports]
+    if f.q ** k <= 4096:
+        assert got == [oracles.min_distance_decode(params, w, params.t1) for w in words]
+    assert [decode_codeword(params, w).codeword for w in words] == got
+    # both outcomes occur, and some decoded word had an error at node 1
+    assert None in got and (params.t1 == 0 or any(
+        c is not None and c[0] != w[0] for c, w in zip(got, words)))
+
+
 def test_edge_primes_straddle_int64():
     assert int64_fits(EDGE_P, 6) and not int64_fits(PAST_EDGE_P, 6)
 
@@ -545,12 +595,12 @@ def test_scalar_fields_take_the_scalar_path(monkeypatch, f):
         H[g][0] = f.add(H[g][0], 1)
     decoded = []
 
-    def spy(params, words):
-        decoded.append(words.shape[1])
-        return gao_block(params, words)
+    def spy(params, S):
+        decoded.append(S.shape[1])
+        return lockstep_block(params, S)
 
-    gao_block = code._gao_block
-    monkeypatch.setattr(code, "_gao_block", spy)
+    lockstep_block = code._lockstep_block
+    monkeypatch.setattr(code, "_lockstep_block", spy)
     assert hash_word_decode(params, H) == [frozenset({1}), frozenset(), frozenset()]
     assert decoded == [a]
 

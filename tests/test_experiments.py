@@ -160,6 +160,27 @@ def test_engine_encodes_the_drawn_data(monkeypatch, q):
             assert C[g::a, column].tolist() == want
 
 
+@pytest.mark.parametrize("q", [257, 9])
+def test_engine_reads_the_sampled_rows(monkeypatch, q):
+    # the engine hashes plan.rows: plans rebuilt from their tuples give
+    # the same estimate, and a plan whose rows hold no error is missed
+    params = CodeParams(6, 2, field_from_order(q), 3)
+    sample = experiments.sample_error_plan
+    want = mc_failure_rate(params, "rank-1", 2, "true-random", 40, 3)
+    assert want.failures < 40
+    monkeypatch.setattr(experiments, "sample_error_plan",
+                        lambda *a, **kw: dataclasses.replace(sample(*a, **kw)))
+    assert mc_failure_rate(params, "rank-1", 2, "true-random", 40, 3) == want
+
+    def blank(*args, **kwargs):
+        plan = sample(*args, **kwargs)
+        return ErrorPlan(plan.entries, plan.model, plan.declared_rank, plan.committed_at,
+                         drawn=np.zeros_like(plan.rows))
+
+    monkeypatch.setattr(experiments, "sample_error_plan", blank)
+    assert mc_failure_rate(params, "rank-1", 2, "true-random", 40, 3).failures == 40
+
+
 @pytest.mark.parametrize("block", [1, 3, experiments._BLOCK])
 @pytest.mark.parametrize("kind", ["true-random", "pseudorandom"])
 def test_estimate_independent_of_block_size(monkeypatch, block, kind):
@@ -181,11 +202,12 @@ def test_engine_rejects_late_plan(monkeypatch):
 
 
 def test_engine_checks_corrected_words(monkeypatch):
-    # a decoder that hands back its input words, which are not codewords
-    def broken(params, words):
-        return words, np.ones(words.shape[1], dtype=bool)
+    # a decoder that finds no errors, so it hands back its input words,
+    # which are not codewords
+    def broken(params, S):
+        return np.zeros((params.n, S.shape[1]), dtype=S.dtype), np.ones(S.shape[1], dtype=bool)
 
-    monkeypatch.setattr(code, "_gao_block", broken)
+    monkeypatch.setattr(code, "_lockstep_block", broken)
     params = CodeParams(4, 2, F5, 3)
     with pytest.raises(SingularSystem):
         mc_failure_rate(params, "random-dense", 1, "true-random", 5, 0)

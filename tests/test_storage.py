@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -297,6 +298,32 @@ def test_sampler_draws_are_pinned(shape, model):
     assert (digest.hexdigest()[:16], int(rng.integers(2 ** 62))) == GOLDEN_PLANS[shape, model]
 
 
+@pytest.mark.parametrize("model", storage.MODELS)
+@pytest.mark.parametrize("shape", [(6, 2, 257, 5), (6, 2, 9, 3)], ids=["GF257", "GF9"])
+def test_plan_rows_stack_the_entries(shape, model):
+    # the sampler's arrays and a plan rebuilt from its tuples hold the
+    # same rows; rows stay out of equality, hash and repr
+    n, k, q, N = shape
+    params = CodeParams(n, k, field_from_order(q), N)
+    rng = np.random.default_rng(q)
+    plan = sample_error_plan(model, params.t1, rng, params, f=2 if model == "rank-f" else None,
+                             target=[1] * N)
+    stacked = [list(row) for _, E in plan.entries for row in E]
+    assert plan.rows.shape == (params.t1 * params.alpha, N) and plan.rows.tolist() == stacked
+    twin = dataclasses.replace(plan)
+    assert twin.rows is not plan.rows and twin.rows.tolist() == stacked
+    assert twin == plan and hash(twin) == hash(plan) and repr(twin) == repr(plan)
+    assert "rows" not in repr(plan) and "drawn" not in repr(plan)
+    moved = dataclasses.replace(plan, entries=plan.entries[:1])
+    assert moved.rows.tolist() == stacked[:params.alpha]
+    assert storage.ErrorPlan(plan.entries, model).rows.tolist() == stacked
+
+
+def test_plan_rejects_ragged_rows():
+    with pytest.raises(ShapeMismatch, match="differ in length"):
+        storage.ErrorPlan(((1, ((1, 0), (2,))),), "single-cell")
+
+
 # alpha is at most 3 over GF(4) and GF(9) and 4 over GF(7), so the oracle
 # enumerates at most q^alpha <= 2401 combinations of an E's rows
 RANK_CODES = {"GF4": CodeParams(4, 1, make_field(2, 2), 3),
@@ -319,11 +346,16 @@ def test_declared_rank_by_row_space_enumeration(params, model, f):
 @pytest.mark.parametrize("f", [F17, make_field(3, 2)], ids=["GF17", "GF9"])
 def test_rank_one_check(f):
     rank_one = kernel(f).matmul(np.array([[1], [0], [2]]), np.array([[3, 0, 1]]))
-    storage._check_rank_one(f, rank_one, 1)
+    storage._check_rank_one(f, rank_one[None], [1])
+    other = kernel(f).matmul(np.array([[0], [1], [1]]), np.array([[0, 2, 1]]))
+    storage._check_rank_one(f, np.stack([rank_one, other]), [1, 4])
+    rank_two = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    zero = np.zeros((3, 3), dtype=np.int64)
+    # one check over the stack names the first failing node
     with pytest.raises(RuntimeError, match="node 2 has rank above 1"):
-        storage._check_rank_one(f, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 2)
+        storage._check_rank_one(f, np.stack([rank_one, rank_two, zero]), [1, 2, 3])
     with pytest.raises(RuntimeError, match="node 3 is zero"):
-        storage._check_rank_one(f, np.zeros((3, 3), dtype=np.int64), 3)
+        storage._check_rank_one(f, np.stack([rank_one, zero, rank_two]), [1, 3, 5])
 
 
 _OPTIMISED = """
@@ -337,11 +369,11 @@ if __debug__:
     raise SystemExit("not run under python -O")
 out = {}
 checked, check = [], storage._check_rank_one
-storage._check_rank_one = lambda fld, E, node: checked.append(node) or check(fld, E, node)
+storage._check_rank_one = lambda fld, E, nodes: checked.append(list(nodes)) or check(fld, E, nodes)
 plan = storage.sample_error_plan("rank-1", 2, np.random.default_rng(0), CodeParams(6, 2, make_field(7), 3))
 out["checked"] = [checked, sorted(plan.nodes)]
 try:
-    check(make_field(7), np.eye(3, dtype=np.int64), 1)
+    check(make_field(7), np.eye(3, dtype=np.int64)[None], [1])
 except RuntimeError as exc:
     out["rank_one"] = str(exc)
 
@@ -371,6 +403,6 @@ def test_checks_run_under_python_O():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     checked, nodes = out["checked"]
-    assert checked == nodes and len(nodes) == 2
+    assert checked == [nodes] and len(nodes) == 2
     assert out["rank_one"] == "rank-1 error matrix of node 1 has rank above 1"
     assert out["lemma1"] == "convolution left the uniform law"

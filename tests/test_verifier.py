@@ -118,8 +118,8 @@ def test_verify_rejects_non_codeword(monkeypatch):
     honest = collect_hashes(state, r).symbols
     # node 2 misreports every symbol, so every group word needs decoding
     H = collect_hashes(state, r, liars={2: [(v + 1) % 17 for v in honest[2:4]]})
-    monkeypatch.setattr(code, "_gao_block", lambda params, words: (
-        words, np.ones(words.shape[1], dtype=bool)))
+    monkeypatch.setattr(code, "_lockstep_block", lambda params, S: (
+        np.zeros((params.n, S.shape[1]), dtype=S.dtype), np.ones(S.shape[1], dtype=bool)))
     with pytest.raises(SingularSystem):
         verify(H, params, G)
 
