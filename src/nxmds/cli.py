@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import container
-from .code import encode, make_code, node_rows
+from .code import encode_array, make_code, node_rows
 from .errors import NxmdsError
 from .experiments import bias_sweep, mc_failure_rate
 from .field import field_from_order
@@ -28,7 +28,7 @@ from .hashing import (
     minimal_extension_degree,
     seed_bit_count,
 )
-from .matrix import mat_add
+from .matrix import kernel
 from .storage import (
     corrupt,
     from_slices,
@@ -137,7 +137,7 @@ def cmd_encode(args) -> int:
     else:
         X = random_data(params, _rng(args.seed, LABEL_DATA))
         source = f"random (seed {args.seed})"
-    C = encode(params, G, X)
+    C = encode_array(params, X)
     a = params.alpha
     os.makedirs(args.out, exist_ok=True)
     container.write_matrix(_data_path(args.out), container.header_for(params), X)
@@ -162,11 +162,12 @@ def cmd_corrupt(args) -> int:
     model, t = _parse_model(args.model)
     rng = _rng(args.seed, LABEL_PLAN)
     plan = sample_error_plan(model, t, rng, params, f=args.rank)
-    for node_id, rows in plan.entries:
+    a, add = params.alpha, kernel(params.field).add
+    for j, (node_id, _) in enumerate(plan.entries):
         container.write_matrix(
             _node_path(args.dir, node_id),
             container.header_for(params, node_id=node_id),
-            mat_add(params.field, state.content(node_id), rows),
+            add(state.content(node_id), plan.rows[j * a:(j + 1) * a]),
         )
     _emit([
         ("command", "corrupt"),
@@ -220,11 +221,11 @@ def _hash_provenance(directory: str) -> str:
 def cmd_verify(args) -> int:
     header, rows = container.read_matrix(os.path.join(args.dir, "hash.nxm"))
     params, G = container.code_for(header)
-    if len(rows) != params.n * params.alpha or any(len(r) != 1 for r in rows):
+    if rows.shape != (params.n * params.alpha, 1):
         raise NxmdsError("hash file has the wrong shape")
     kind = _hash_provenance(args.dir)
     H = HashVector(
-        symbols=tuple(r[0] for r in rows),
+        symbols=tuple(rows[:, 0].tolist()),
         provenance=kind,
         seed_bits=seed_bit_count(kind, params),
     )
@@ -296,7 +297,7 @@ def cmd_audit(args) -> int:
             clean = make_system(params, G, X)
             truth = frozenset(
                 i for i in range(1, params.n + 1)
-                if state.content(i) != clean.content(i)
+                if not np.array_equal(state.content(i), clean.content(i))
             )
         return _audit_common(params, G, state, truth, args)
 

@@ -20,9 +20,10 @@ decode together in a fixed number of kernel operations (_lockstep_block:
 inversionless Berlekamp-Massey, a Chien search and Forney's formula,
 over all words at once), and one parity product confirms every
 corrected word.  Gao's decoder is the independent check in
-tests/oracles.py.  encode is one stacked product of the same kernel.
-The fixed arrays are cached per CodeParams (_tables), and
-decode_codeword is the one-column case.
+tests/oracles.py.  encode_array and interpolate are each one stacked
+product of the same kernel over the alpha groups.  The fixed arrays are
+cached per CodeParams (_tables), and decode_codeword is the one-column
+case.
 
 Evaluation points are the first n elements of the canonical enumeration
 0, 1, g, g^2, ... (g the field's generator), so the construction is
@@ -46,7 +47,7 @@ from .errors import (
     TooFewNodes,
 )
 from .field import iter_elements
-from .matrix import kernel, mat_mul
+from .matrix import kernel
 
 
 @dataclass(frozen=True)
@@ -87,24 +88,16 @@ class CodeParams:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """The k x n systematic per-group RS generator.  The full
-    n*alpha x k*alpha generator is this block repeated on the diagonal,
-    row-interleaved by node; encode applies it group-wise."""
+    """The code's generator, named by its parameters: per group the
+    systematic RS generator, which encode_array applies group-wise from
+    the cached weights (_tables)."""
 
     params: CodeParams
-    rs: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=None)
-def _rs_rows(params: CodeParams) -> tuple[tuple[int, ...], ...]:
-    """Systematic RS generator: row d, column i is L_d(pt_i), where L_d
-    is the Lagrange basis polynomial through the first k points."""
-    return tuple(zip(*_subset_weights(params, tuple(range(params.k)))))
 
 
 def make_code(n: int, k: int, field, N: int = 1) -> tuple[CodeParams, GeneratorMatrix]:
     params = CodeParams(n, k, field, N)
-    return params, GeneratorMatrix(params, _rs_rows(params))
+    return params, GeneratorMatrix(params)
 
 
 def node_rows(params: CodeParams, i: int) -> range:
@@ -116,27 +109,24 @@ def node_rows(params: CodeParams, i: int) -> range:
 
 
 def encode(params: CodeParams, G: GeneratorMatrix, X) -> list[list[int]]:
-    """Column-wise encoding: output row i*alpha+g is symbol i of group g's
-    RS codeword: group g's k message rows times the n x k transpose
-    of G.rs (the cached interpolation weights at anchors 0..k-1).
-
-    Every symbol must be a field element (FieldMismatch otherwise): the
-    data is checked by the kernel's asarray, then encoded by
-    encode_array."""
-    a, k, N = params.alpha, params.k, params.N
-    if len(X) != k * a or any(len(row) != N for row in X):
-        raise ShapeMismatch(f"data must be {k * a} x {N}")
-    return encode_array(params, kernel(params.field).asarray(X)).tolist()
+    """encode_array, answered in lists."""
+    return encode_array(params, X).tolist()
 
 
-def encode_array(params: CodeParams, X: np.ndarray) -> np.ndarray:
-    """encode from and to arrays of the field's kernel: X is the
-    k*alpha x N data, whose entries must already be field elements (an
-    rng's draw, or data the kernel's asarray checked); they are not
-    checked again.  One stacked product of the n x k weights with all
-    alpha groups, interleaved by node."""
+def encode_array(params: CodeParams, X) -> np.ndarray:
+    """Column-wise encoding into an array of the field's kernel: output
+    row i*alpha+g is symbol i of group g's RS codeword, group g's k
+    message rows times the n x k systematic weights (the interpolation
+    weights at anchors 0..k-1).  X is the k*alpha x N data as a list of
+    rows or an array; every symbol must be a field element
+    (FieldMismatch otherwise, from the kernel's asarray).  One stacked
+    product with all alpha groups, interleaved by node."""
     a, k, n, N = params.alpha, params.k, params.n, params.N
-    groups = kernel(params.field).matmul(_tables(params).weights, X.reshape(a, k, N))
+    kern = kernel(params.field)
+    X = kern.asarray(X)
+    if X.shape != (k * a, N):
+        raise ShapeMismatch(f"data must be {k * a} x {N}")
+    groups = kern.matmul(_tables(params).weights, X.reshape(a, k, N))
     return groups.transpose(1, 0, 2).reshape(n * a, N)  # groups: alpha x n x N
 
 
@@ -164,39 +154,39 @@ def _subset_weights(params: CodeParams, positions: tuple[int, ...]):
 
 
 def interpolate(params: CodeParams, nodes, targets) -> list[list[list[int]]]:
-    """Blocks (alpha x N each) of the target node ids, rebuilt from >= k
-    node contents {node id: alpha x N matrix}.
+    """Blocks (alpha x N lists each) of the target node ids, rebuilt
+    from >= k node contents {node id: alpha x N matrix}, given as lists
+    of rows or arrays and checked by the kernel's asarray.
 
-    The first k nodes (by id) anchor the interpolation, group by group;
-    every further node is cross-checked against its prediction, and a
-    mismatch raises SingularSystem (corrupted input).
+    The first k nodes (by id) anchor the interpolation.  One stacked
+    kernel product over the alpha groups applies their weights both to
+    the targets and to every further node, whose prediction must match
+    its content: a mismatch raises SingularSystem (corrupted input).
     """
-    items, targets = dict(nodes), list(targets)
+    given, targets, kern = dict(nodes), list(targets), kernel(params.field)
     a, k, N = params.alpha, params.k, params.N
-    for i in [*items, *targets]:
+    for i in [*given, *targets]:
         if not 1 <= i <= params.n:
             raise BadNodeId(f"node id {i} outside 1..{params.n}")
-    if len(items) < k:
-        raise TooFewNodes(f"need {k} nodes, got {len(items)}")
+    if len(given) < k:
+        raise TooFewNodes(f"need {k} nodes, got {len(given)}")
+    ids = sorted(given)
+    items = {i: kern.asarray(given[i]) for i in ids}
     for i, content in items.items():
-        if len(content) != a or any(len(row) != N for row in content):
+        if content.shape != (a, N):
             raise ShapeMismatch(f"node {i} content must be {a} x {N}")
-    ids = sorted(items)
     anchors, extras = ids[:k], ids[k:]
-    W = _subset_weights(params, tuple(i - 1 for i in anchors))
+    W = kern.asarray(_subset_weights(params, tuple(i - 1 for i in anchors)))
     # the rows that produce the targets, then those that predict the extras
-    rows = tuple(W[i - 1] for i in targets + extras)
-    blocks = [[None] * a for _ in targets]
-    for g in range(a):
-        cw = mat_mul(params.field, rows, [items[i][g] for i in anchors])
-        for i, got in zip(extras, cw[len(targets):]):
-            if got != list(items[i][g]):
-                raise SingularSystem(
-                    f"node {i} disagrees with interpolation in group {g}"
-                )
-        for block, row in zip(blocks, cw):
-            block[g] = row
-    return blocks
+    rows = W[[i - 1 for i in targets + extras]]
+    # cw[g] holds group g of every target, then every extra
+    cw = kern.matmul(rows, np.stack([items[i] for i in anchors], axis=1))
+    if extras:
+        off = (cw[:, len(targets):] != np.stack([items[i] for i in extras], axis=1)).any(axis=2)
+        if off.any():
+            g, j = np.argwhere(off)[0]
+            raise SingularSystem(f"node {extras[j]} disagrees with interpolation in group {g}")
+    return cw[:, :len(targets)].transpose(1, 0, 2).tolist()
 
 
 def erasure_decode(params: CodeParams, G: GeneratorMatrix, nodes) -> list[list[int]]:

@@ -7,9 +7,13 @@ little-endian bytes each; sub-byte packing is deliberately avoided so
 files stay inspectable with a hex dump.  The bit-exact figures live in
 the accounting report instead.
 
-A symbol is an `int` (bools count, as 0 and 1) in [0, q).  Anything
-else, numpy integer scalars included, raises ContainerError naming the
-first offending symbol in row-major order, on write and on read alike.
+A symbol is an `int` (bools count, as 0 and 1) in [0, q).  A matrix is
+written from a list of rows, where anything else is refused (numpy
+integer scalars included), or from a 2-D ndarray of an integer dtype
+(or of object dtype holding ints), which one vectorised range test
+checks.  A read returns an ndarray: int64 when q <= 2^63, Python ints
+in object dtype above.  A bad symbol raises ContainerError naming the
+first one in row-major order, on write and on read alike.
 The codec packs a whole matrix in one numpy pass: symbols are staged as
 little-endian uint64 and the low `symbol_width(q)` bytes of each are
 kept, and reading reverses that, so every width up to 8 bytes takes the
@@ -141,38 +145,47 @@ def _check_symbols(rows, q: int) -> None:
                 raise ContainerError(f"symbol {v} out of range for q={q}")
 
 
-def _staged(rows, q: int):
-    """`rows` as a '<u8' array, or None when some symbol is not an int in
-    [0, q): a type check over the distinct symbol types, then one
-    conversion and one range check."""
-    if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(rows)))):
-        return None
-    try:
-        symbols = np.array(rows, dtype="<u8")
-    except OverflowError:  # negative, or 2^64 and above
-        return None
-    return symbols if not symbols.size or int(symbols.max()) < q else None
+def _symbols(rows, q: int) -> np.ndarray:
+    """`rows` as a 2-D ndarray once every symbol passed the module
+    docstring's rule: the types of a list's or an object array's symbols
+    are scanned, a list converted, and one range test checks them all;
+    on failure _check_symbols names the first bad symbol."""
+    if not isinstance(rows, np.ndarray):
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ContainerError("ragged matrix")
+        if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(rows)))):
+            _check_symbols(rows, q)
+        try:
+            rows = np.array(rows, dtype=np.uint64 if q <= 2 ** 64 else object
+                            ).reshape(len(rows), cols)
+        except OverflowError:  # negative, or 2^64 and above
+            _check_symbols(rows, q)
+    elif rows.ndim != 2:
+        raise ContainerError(f"expected a matrix, got {rows.ndim} dimension(s)")
+    elif rows.dtype.kind not in "biu" and not all(issubclass(t, int) for t in set(map(type, rows.flat))):
+        _check_symbols(rows.tolist(), q)
+    if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= q):
+        _check_symbols(rows.tolist(), q)
+    return rows
 
 
 def serialize_matrix(header: ContainerHeader, rows) -> bytes:
     q = header.q
     width = symbol_width(q)
-    cols = len(rows[0]) if rows else 0
-    frame = pack_header(header) + _u64(len(rows)) + _u64(cols)
-    if any(len(row) != cols for row in rows):
-        raise ContainerError("ragged matrix")
-    if rows and not cols:  # deserialize_matrix refuses such a frame
-        raise ContainerError(f"matrix {len(rows)} x 0: rows without columns")
+    head = pack_header(header)
+    symbols = _symbols(rows, q)
+    nrows, cols = symbols.shape
+    if nrows and not cols:  # deserialize_matrix refuses such a frame
+        raise ContainerError(f"matrix {nrows} x 0: rows without columns")
+    frame = head + _u64(nrows) + _u64(cols)
     if width > _STAGE:
-        _check_symbols(rows, q)
-        return frame + b"".join(v.to_bytes(width, "little") for row in rows for v in row)
-    symbols = _staged(rows, q)
-    if symbols is None:
-        _check_symbols(rows, q)
-    return frame + symbols.view(np.uint8).reshape(-1, _STAGE)[:, :width].tobytes()
+        return frame + b"".join(v.to_bytes(width, "little") for row in symbols.tolist() for v in row)
+    staged = symbols.astype("<u8", order="C")
+    return frame + staged.view(np.uint8).reshape(-1, _STAGE)[:, :width].tobytes()
 
 
-def deserialize_matrix(data: bytes) -> tuple[ContainerHeader, list[list[int]]]:
+def deserialize_matrix(data: bytes) -> tuple[ContainerHeader, np.ndarray]:
     header, pos = parse_header(data)
     if len(data) < pos + 16:
         raise TruncatedPayload("missing matrix frame")
@@ -191,20 +204,19 @@ def deserialize_matrix(data: bytes) -> tuple[ContainerHeader, list[list[int]]]:
     if len(data) > pos + need:
         raise ContainerError("trailing bytes after payload")
     if width > _STAGE:
-        flat = [int.from_bytes(data[j:j + width], "little")
-                for j in range(pos, pos + need, width)]
-        rows = [flat[r * ncols:(r + 1) * ncols] for r in range(nrows)]
-        _check_symbols(rows, q)
-        return header, rows
-    stage = np.zeros((nrows * ncols, _STAGE), np.uint8)
-    stage[:, :width] = np.frombuffer(data, np.uint8, need, pos).reshape(-1, width)
+        flat = np.array([int.from_bytes(data[j:j + width], "little")
+                         for j in range(pos, pos + need, width)], dtype=object)
+    else:
+        stage = np.zeros((nrows * ncols, _STAGE), np.uint8)
+        stage[:, :width] = np.frombuffer(data, np.uint8, need, pos).reshape(-1, width)
+        flat = stage.view("<u8")
     try:
-        symbols = stage.view("<u8").reshape(nrows, ncols)
+        symbols = flat.reshape(nrows, ncols)
     except ValueError as exc:  # an empty frame too large for numpy to shape
         raise ContainerError(f"matrix frame {nrows} x {ncols} too large") from exc
     if symbols.size and int(symbols.max()) >= q:
         _check_symbols(symbols.tolist(), q)
-    return header, symbols.tolist()
+    return header, symbols.astype(np.int64 if q <= 2 ** 63 else object, copy=False)
 
 
 def write_matrix(path, header: ContainerHeader, rows) -> None:
@@ -222,6 +234,6 @@ def write_matrix(path, header: ContainerHeader, rows) -> None:
         raise
 
 
-def read_matrix(path) -> tuple[ContainerHeader, list[list[int]]]:
+def read_matrix(path) -> tuple[ContainerHeader, np.ndarray]:
     with open(path, "rb") as fh:
         return deserialize_matrix(fh.read())

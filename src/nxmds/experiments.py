@@ -20,10 +20,10 @@ product C R^T, C encoded once per call and R the block's vectors
 stacked, and each planned node adds its E_i r into its alpha rows.
 These are arrays of the field's kernel (matrix.kernel), for every
 field.  C is encoded once per call by code.encode_array, straight from
-the data array the rng returns; R and the block's error rows (each
-plan's rows, the arrays its sampler drew, concatenated) are converted
-once each, with the kernel's element check, and all the block's E_i r
-come from one stacked product.  The block's hash vectors then go to
+the data array the rng returns (storage.random_data); R and the block's
+error rows (each plan's rows, the arrays its sampler drew,
+concatenated) are converted once each, with the kernel's element
+check, and all the block's E_i r come from one stacked product.  The block's hash vectors then go to
 code.hash_word_decode, the same rule from decoded group words to
 flagged nodes that verify applies to one vector: it checks every
 symbol, one syndrome product screens the group words, only words with
@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .code import CodeParams, encode_array, hash_word_decode
-from .errors import TooLargeToEnumerate
+from .errors import ShapeMismatch, TooLargeToEnumerate
 from .field import ExtensionField, field_from_order
 from .hashing import (
     PrgSeed,
@@ -61,10 +61,11 @@ from .hashing import (
     minimal_extension_degree,
     prg_expand,
 )
-from .matrix import dot, kernel
+from .matrix import kernel
 from .storage import (
     ErrorPlan,
     corrupt,
+    random_data,
     sample_error_plan,
     true_error_set,
 )
@@ -78,6 +79,8 @@ _LABEL_TRIAL = 1
 
 # trials per block of mc_failure_rate: the most plans and vectors it holds
 _BLOCK = 64
+# projection vectors per kernel product of exact_failure_small
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -148,9 +151,7 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
     data_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_DATA,))
     )
-    # random_data's draw, kept as the rng's int64 array
-    X = data_rng.integers(0, params.field.q, size=(params.k * params.alpha, params.N))
-    C = encode_array(params, kernel(params.field).asarray(X))
+    C = encode_array(params, random_data(params, data_rng))
     failures = 0
     for start in range(0, trials, _BLOCK):
         plans, drawn = [], []
@@ -192,19 +193,25 @@ def _block_misses(params: CodeParams, C, plans, vectors) -> int:
 def exact_failure_small(params: CodeParams, plan: ErrorPlan) -> Fraction:
     """Exact miss probability by enumerating every projection vector:
     the fraction of r for which some planned node's entire error matrix
-    projects to zero."""
-    fld = params.field
-    q, N = fld.q, params.N
+    projects to zero.  The q^N vectors are the base-q digits of a
+    counter, taken _CHUNK at a time: one kernel product projects every
+    planned row on a whole chunk."""
+    q, N = params.field.q, params.N
     if q ** N > ENUM_LIMIT:
         raise TooLargeToEnumerate(f"q^N = {q ** N} vectors")
-    blocks = [[list(row) for row in rows] for _, rows in plan.entries]
+    if not plan.entries:
+        return Fraction(0)
+    kern = kernel(params.field)
+    E = kern.asarray(plan.rows)
+    if E.shape[1] != N:
+        raise ShapeMismatch(f"error rows must have length {N}")
+    starts = np.cumsum([0] + [len(rows) for _, rows in plan.entries][:-1])  # each node's first row
+    place = q ** np.arange(N - 1, -1, -1)
     fails = 0
-    for r in itertools.product(range(q), repeat=N):
-        rv = list(r)
-        for rows in blocks:
-            if all(dot(fld, row, rv) == 0 for row in rows):
-                fails += 1
-                break
+    for start in range(0, q ** N, _CHUNK):
+        R = np.arange(start, min(start + _CHUNK, q ** N))[:, None] // place % q
+        seen = np.logical_or.reduceat(kern.matmul(E, R.T) != 0, starts, axis=0)
+        fails += int((~seen).any(axis=0).sum())
     return Fraction(fails, q ** N)
 
 
@@ -266,6 +273,7 @@ def bias_sweep(q: int, N: int, m: int | None = None):
         raise ValueError("the vectorized sweep needs a prime q")
     if m is None:
         m = minimal_extension_degree(q, N)
+    kern = kernel(fld)
     table = np.array(_prg_table(q, m, N), dtype=np.int64)  # S x N
     S = table.shape[0]
     worst_num = 0
@@ -276,8 +284,7 @@ def bias_sweep(q: int, N: int, m: int | None = None):
         block = list(itertools.islice(betas, chunk))
         if not block:
             break
-        B = np.array(block, dtype=np.int64)
-        T = (B @ table.T) % q  # len(block) x S
+        T = kern.matmul(np.array(block, dtype=np.int64), table.T)  # len(block) x S
         for v in range(q):
             z = (T == v).sum(axis=1)
             worst_num = max(worst_num, int(np.abs(q * z - S).max()))

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clock
-from .errors import ExtensionTooSmall
+from .errors import ExtensionTooSmall, ShapeMismatch
 from .field import make_extension, symbol_bits
-from .matrix import kernel, mat_vec
+from .matrix import kernel
 
 TRUE_RANDOM = "true-random"
 PSEUDORANDOM = "pseudorandom"
@@ -202,8 +202,14 @@ def draw_vector(params, kind: str, rng) -> tuple[RandomVector, PrgSeed | None]:
 
 
 def node_hash(content, r: RandomVector):
-    """One symbol per stored row: the row's inner product with r."""
-    return tuple(mat_vec(r.field, content, r.symbols))
+    """One symbol per stored row, as Python ints: the row's inner
+    product with r.  content is a list of rows or an array, checked by
+    the kernel's asarray; one kernel product hashes all of its rows."""
+    kern = kernel(r.field)
+    content, R = kern.asarray(content), kern.asarray([r.symbols])
+    if content.shape[1] != R.shape[1]:
+        raise ShapeMismatch(f"rows must have length {R.shape[1]}")
+    return tuple(kern.matmul(content, R.T)[:, 0].tolist())
 
 
 def seed_bit_count(kind: str, params) -> int:

@@ -1,5 +1,5 @@
-"""Small dense matrix/vector helpers over a finite field, and the array
-kernel that every bulk algorithm of the library runs on.
+"""The array kernel that all the library's arithmetic on matrices runs
+on, and row_rank.
 
 kernel(field), built once per field, is the one place that decides how
 field elements are held in arrays:
@@ -24,16 +24,13 @@ and it raises ShapeMismatch unless it has a matrix.  The other
 operations check nothing; they also take the int64 arrays an rng
 returns.
 
-mat_mul, mat_add, mat_sub and row_rank take matrices as lists of rows
-(or arrays), check them with asarray and answer in lists.  dot and
-mat_vec are list helpers that check nothing over prime fields: an inner
-product there is native integer arithmetic with a single reduction.
+row_rank takes a matrix as a list of rows or an array and checks it
+with asarray.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -49,31 +46,6 @@ def int64_fits(p: int, terms: int) -> bool:
     int64: the guard of every int64 product over GF(p)."""
     return terms * (p - 1) ** 2 <= _INT64_MAX
 
-
-def _inner(field, u, v) -> int:
-    if field.s == 1:
-        return sum(map(operator.mul, u, v)) % field.p
-    acc = 0
-    for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
-def dot(field, u, v) -> int:
-    """Inner product of two equal-length vectors."""
-    if len(u) != len(v):
-        raise ShapeMismatch(f"dot of lengths {len(u)} and {len(v)}")
-    return _inner(field, u, v)
-
-
-def mat_vec(field, rows, v) -> list[int]:
-    N = len(v)
-    if any(len(row) != N for row in rows):
-        raise ShapeMismatch(f"rows must have length {N}")
-    return [_inner(field, row, v) for row in rows]
-
-
-# -- the array kernels -----------------------------------------------------
 
 def _width(rows) -> int:
     """The common length of the rows of a nested sequence."""
@@ -184,36 +156,6 @@ class _FieldKernel:
 def kernel(field):
     """The array kernel of the field (module docstring)."""
     return _PrimeKernel(field) if isinstance(field, PrimeField) else _FieldKernel(field)
-
-
-# -- list-in, list-out matrix operations -----------------------------------
-
-def mat_mul(field, a, b) -> list[list[int]]:
-    if not len(a):
-        return []
-    kern = kernel(field)
-    a, b = kern.asarray(a), kern.asarray(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"mat_mul of {a.shape[0]}x{a.shape[1]} and {b.shape[0]}x{b.shape[1]}")
-    return kern.matmul(a, b).tolist()
-
-
-def _same_shape(field, a, b, name):
-    kern = kernel(field)
-    a, b = kern.asarray(a), kern.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"{name} of unequal shapes")
-    return kern, a, b
-
-
-def mat_add(field, a, b) -> list[list[int]]:
-    kern, a, b = _same_shape(field, a, b, "mat_add")
-    return kern.add(a, b).tolist()
-
-
-def mat_sub(field, a, b) -> list[list[int]]:
-    kern, a, b = _same_shape(field, a, b, "mat_sub")
-    return kern.sub(a, b).tolist()
 
 
 def row_rank(field, rows) -> int:

@@ -1,7 +1,9 @@
 """Simulated distributed storage.
 
-A SystemState holds what each node actually stores.  Honest nodes store
-their slice of the clean encoding; corrupted nodes store clean + error.
+A SystemState holds what each node actually stores, each node's
+alpha x N block an array of the field's kernel (matrix.kernel) from the
+moment it is encoded or read.  Honest nodes store their slice of the
+clean encoding; corrupted nodes store clean + error, one kernel add.
 The adversary is modeled by an ErrorPlan committed (logical-clock
 stamped) before any verification randomness is drawn, matching the
 threat model: full knowledge of the stored data, none of the randomness.
@@ -25,7 +27,7 @@ minor through each matrix's first nonzero entry, run once over all of
 them, and a rank-f E is redrawn until row_rank, which takes the drawn
 arrays as they are, gives f.  The stored entries are tuples of Python
 ints; the plan also keeps the stacked arrays it was built from (rows),
-which the Monte Carlo engine reads.
+which corrupt and the Monte Carlo engine read.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clock
-from .code import CodeParams, GeneratorMatrix, encode
+from .code import CodeParams, GeneratorMatrix, encode_array
 from .errors import (
     BadModel,
     BadNodeId,
@@ -44,7 +46,7 @@ from .errors import (
     NoGroundTruth,
     ShapeMismatch,
 )
-from .matrix import kernel, mat_add, row_rank
+from .matrix import kernel, row_rank
 
 MODELS = ("single-cell", "random-dense", "rank-1", "rank-f", "null-against-vector")
 
@@ -89,10 +91,12 @@ class ErrorPlan:
 
 
 class SystemState:
-    """Stored content of all n nodes, plus oracle-only extras.
+    """Stored content of all n nodes, plus oracle-only extras: the clean
+    encoding and the data (truth) it came from.
 
-    `nodes` is 0-indexed internally; public node ids are 1-based.
-    Mutated only by corrupt() and restore(); share snapshots read-only.
+    `nodes` is 0-indexed internally; public node ids are 1-based.  Each
+    node's content is an alpha x N kernel array.  Mutated only by
+    corrupt() and restore(); share snapshots read-only.
     """
 
     def __init__(self, params: CodeParams, G: GeneratorMatrix, slices,
@@ -113,41 +117,35 @@ class SystemState:
         """Reset every node to its clean slice and forget applied plans."""
         if self._clean is None:
             raise NoGroundTruth("state was built without the clean encoding")
-        self.nodes = [[list(row) for row in s] for s in self._clean]
+        self.nodes = [s.copy() for s in self._clean]
         self.plans.clear()
 
 
-def _slices(params: CodeParams, C):
-    a = params.alpha
-    return [
-        [list(C[i * a + j]) for j in range(a)]
-        for i in range(params.n)
-    ]
-
-
-def make_system(params: CodeParams, G: GeneratorMatrix, X,
-                keep_truth: bool = True) -> SystemState:
-    C = encode(params, G, X)
-    clean = _slices(params, C)
-    stored = [[list(row) for row in s] for s in clean]
-    truth = [list(row) for row in X] if keep_truth else None
-    return SystemState(params, G, stored, clean=clean, truth=truth)
+def make_system(params: CodeParams, G: GeneratorMatrix, X) -> SystemState:
+    """State of an honest system storing the data X (a list of rows or
+    an array), encoded by code.encode_array."""
+    C = encode_array(params, X)
+    clean = list(C.reshape(params.n, params.alpha, params.N))
+    return SystemState(params, G, [s.copy() for s in clean], clean=clean,
+                       truth=np.array(X, dtype=C.dtype))
 
 
 def from_slices(params: CodeParams, G: GeneratorMatrix, slices) -> SystemState:
     """State reconstructed from node files alone: no ground truth, no
-    clean encoding, so only hashing and verification are possible."""
-    a, N = params.alpha, params.N
+    clean encoding, so only hashing and verification are possible.
+    Each slice is checked by the kernel's asarray."""
+    kern = kernel(params.field)
     if len(slices) != params.n:
         raise ShapeMismatch(f"need {params.n} node slices")
-    for s in slices:
-        if len(s) != a or any(len(row) != N for row in s):
-            raise ShapeMismatch(f"node slices must be {a} x {N}")
-    return SystemState(params, G, [[list(r) for r in s] for s in slices])
+    nodes = [kern.asarray(s) for s in slices]
+    if any(s.shape != (params.alpha, params.N) for s in nodes):
+        raise ShapeMismatch(f"node slices must be {params.alpha} x {params.N}")
+    return SystemState(params, G, nodes)
 
 
 def corrupt(state: SystemState, plan: ErrorPlan) -> SystemState:
-    """Apply the plan: each planned node stores clean slice + E_i."""
+    """Apply the plan: each planned node stores clean slice + E_i, one
+    kernel add from the plan's stacked rows."""
     params = state.params
     a, N = params.alpha, params.N
     if state._clean is None:
@@ -157,27 +155,26 @@ def corrupt(state: SystemState, plan: ErrorPlan) -> SystemState:
             raise BadNodeId(f"node id {i} outside 1..{params.n}")
         if len(rows) != a or any(len(row) != N for row in rows):
             raise ShapeMismatch(f"error matrix for node {i} must be {a} x {N}")
-    for i, rows in plan.entries:
-        state.nodes[i - 1] = mat_add(params.field, state._clean[i - 1], rows)
+    kern = kernel(params.field)
+    for j, (i, _) in enumerate(plan.entries):
+        E = kern.asarray(plan.rows[j * a:(j + 1) * a])
+        state.nodes[i - 1] = kern.add(state._clean[i - 1], E)
     state.plans.append(plan)
     return state
 
 
 def true_error_set(state: SystemState) -> frozenset[int]:
     """Oracle: nodes whose stored slice differs from the clean encoding."""
-    if state.truth is None or state._clean is None:
+    if state._clean is None:
         raise NoGroundTruth("ground truth was not retained")
-    return frozenset(
-        i + 1
-        for i in range(state.params.n)
-        if state.nodes[i] != state._clean[i]
-    )
+    return frozenset(i for i, (node, clean) in enumerate(zip(state.nodes, state._clean), 1)
+                     if not np.array_equal(node, clean))
 
 
-def random_data(params: CodeParams, rng):
-    """Uniform k*alpha x N data matrix drawn from a numpy Generator."""
-    rows = rng.integers(0, params.field.q, size=(params.k * params.alpha, params.N))
-    return rows.tolist()
+def random_data(params: CodeParams, rng) -> np.ndarray:
+    """Uniform k*alpha x N data matrix drawn from a numpy Generator, as
+    the generator's int64 array."""
+    return rng.integers(0, params.field.q, size=(params.k * params.alpha, params.N))
 
 
 # -- byte packing ----------------------------------------------------------
@@ -233,17 +230,20 @@ def _nonzero_row(rng, q: int, N: int) -> np.ndarray:
             return row
 
 
-def _orthogonal_row(rng, field, target) -> list[int]:
-    pivot = next(j for j, v in enumerate(target) if v != 0)
-    inv = field.inv(target[pivot])
+def _orthogonal_row(rng, field, target) -> np.ndarray:
+    """A nonzero row orthogonal to target: a uniform draw whose pivot
+    entry is then solved for, the draw's inner product with target one
+    kernel product."""
+    kern = kernel(field)
+    T = kern.asarray([target])
+    pivot = int((T[0] != 0).argmax())
+    inv = field.inv(int(T[0, pivot]))
     while True:
-        row = rng.integers(0, field.q, size=len(target)).tolist()
-        s = 0
-        for j, v in enumerate(row):
-            if j != pivot:
-                s = field.add(s, field.mul(v, target[j]))
+        row = rng.integers(0, field.q, size=len(target))
+        row[pivot] = 0
+        s = int(kern.matmul(row[None, :], T.T)[0, 0])
         row[pivot] = field.mul(field.neg(s), inv)
-        if any(row):
+        if row.any():
             return row
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .code import CodeParams, GeneratorMatrix, hash_word_decode, interpolate
 from .errors import (
     BadNodeId,
@@ -80,24 +82,24 @@ def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
 
     Corrupted nodes hash their corrupted content; `liars` can override
     single blocks with arbitrary field elements to model nodes that
-    misreport outright.  The state's error plans must pass
-    check_commitment.
+    misreport outright.  Every liar symbol must be a field element as
+    given (FieldMismatch otherwise).  The state's error plans must pass
+    check_commitment.  One node_hash call hashes the n*alpha stored
+    rows, stacked in node order; the liars' blocks then replace theirs.
     """
     check_commitment(state.plans, r)
     params = state.params
+    a = params.alpha
     liars = dict(liars) if liars else {}
     for i, block in liars.items():
         if not 1 <= i <= params.n:
             raise BadNodeId(f"node id {i} outside 1..{params.n}")
-        if len(block) != params.alpha:
+        if len(block) != a:
             raise ShapeMismatch(f"liar block for node {i} must have alpha symbols")
-        liars[i] = [params.field.check(int(v)) for v in block]
-    out = []
-    for i in range(1, params.n + 1):
-        if i in liars:
-            out.extend(liars[i])
-        else:
-            out.extend(node_hash(state.nodes[i - 1], r))
+        liars[i] = [params.field.check(v) for v in block]
+    out = list(node_hash(np.concatenate(state.nodes), r))
+    for i, block in liars.items():
+        out[(i - 1) * a:i * a] = block
     return HashVector(tuple(out), r.provenance, r.seed_bits)
 
 

@@ -178,15 +178,28 @@ def edge_primes(terms):
     return below, above
 
 
-def dense_generator(params, G):
-    """The full n*alpha x k*alpha generator: coded row i*alpha + g holds
-    G.rs column i in the k columns of group g and zeros elsewhere."""
-    k, a = params.k, params.alpha
+def inner(field, u, v):
+    """Inner product of two equal-length vectors, one field call per
+    operation: the reference for every kernel product."""
+    assert len(u) == len(v), "inner product of unequal lengths"
+    acc = 0
+    for a, b in zip(u, v):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+def dense_generator(params):
+    """The full n*alpha x k*alpha generator: coded row i*alpha + g holds,
+    in the k columns of group g, the values at point i of the Lagrange
+    basis through the first k points (lagrange_values), zeros elsewhere."""
+    f, k, a, pts = params.field, params.k, params.alpha, params.eval_points
+    basis = [lagrange_values(f, [(pts[j], int(j == d)) for j in range(k)], pts)
+             for d in range(k)]
     rows = [[0] * (k * a) for _ in range(params.n * a)]
     for i in range(params.n):
         for g in range(a):
             for d in range(k):
-                rows[i * a + g][g * k + d] = G.rs[d][i]
+                rows[i * a + g][g * k + d] = basis[d][i]
     return tuple(map(tuple, rows))
 
 

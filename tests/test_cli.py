@@ -47,6 +47,7 @@ def test_encode_ingests_file(tmp_path, capsys):
                         "--q", "5", "--N", "3", "--out", str(out))
     assert code == 0
     _, X = container.read_matrix(out / "data.nxm")
+    X = X.tolist()
     params, _ = make_code(4, 2, field_from_order(5), 3)
     assert X == ingest(b"\xab", params)
     # the node files alone recover the ingested matrix

@@ -26,7 +26,10 @@ from nxmds.errors import (
     TooFewNodes,
 )
 from nxmds.field import make_field
-from nxmds.matrix import dot, int64_fits, kernel, mat_mul, mat_vec, row_rank
+from nxmds.hashing import RandomVector, node_hash
+from nxmds.matrix import int64_fits, kernel, row_rank
+from nxmds.storage import make_system
+from nxmds.verifier import repair_node
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -38,15 +41,14 @@ def random_matrix(rng, rows, cols, q):
 
 @pytest.mark.parametrize("f", [F7, make_field(257), make_field(2, 3)])
 def test_dot_matches_field_ops(f):
+    # an inner product is node_hash of one row: one kernel product
     rng = np.random.default_rng(31)
     for size in range(6):
         u, v = ([int(x) for x in rng.integers(0, f.q, size)] for _ in range(2))
-        acc = 0
-        for a, b in zip(u, v):
-            acc = f.add(acc, f.mul(a, b))
-        assert dot(f, u, v) == acc
+        r = RandomVector(tuple(v), f, "true-random", 0, 0)
+        assert node_hash([u], r) == (oracles.inner(f, u, v),)
     with pytest.raises(ShapeMismatch):
-        dot(f, [1], [1, 0])
+        node_hash([[1]], RandomVector((1, 0), f, "true-random", 0, 0))
 
 
 def test_params_validation():
@@ -90,31 +92,36 @@ def test_node_rows():
         node_rows(p, 5)
 
 
+def group_codeword(params, G, msg):
+    """Group 0's codeword of the k-symbol message, every other group zero."""
+    X = [[v] for v in msg] + [[0]] * (params.k * (params.alpha - 1))
+    return tuple(row[0] for row in encode(params, G, X)[::params.alpha])
+
+
 # single-group codewords frozen by hand for (4,2) over GF(5), points
 # (0,1,2,4): message (1,0) interpolates to P(x) = 1 - x, giving
 # (1,0,4,2); message (1,1) is the constant polynomial, giving (1,1,1,1)
 def test_systematic_codeword_examples():
     params, G = make_code(4, 2, F5, 1)
     for msg, expect in [((1, 0), (1, 0, 4, 2)), ((1, 1), (1, 1, 1, 1))]:
-        cw = tuple(
-            sum(G.rs[d][i] * msg[d] for d in range(2)) % 5 for i in range(4)
-        )
-        assert cw == expect
+        assert group_codeword(params, G, msg) == expect
 
 
 def test_rs_rows_match_lagrange_oracle():
+    # the systematic generator's row d encodes the unit message e_d
     for n, k, f in [(4, 2, F5), (6, 3, F7), (5, 4, F7)]:
         params, G = make_code(n, k, f)
         pts = params.eval_points
         for d in range(k):
             unit = [(pts[j], 1 if j == d else 0) for j in range(k)]
-            assert list(G.rs[d]) == oracles.lagrange_values(f, unit, pts)
+            got = group_codeword(params, G, [int(j == d) for j in range(k)])
+            assert list(got) == oracles.lagrange_values(f, unit, pts)
 
 
 def test_generator_block_structure():
     params, G = make_code(6, 3, F7, 2)
     a, k = params.alpha, params.k
-    dense = oracles.dense_generator(params, G)
+    dense = oracles.dense_generator(params)
     assert len(dense) == params.n * a
     assert all(len(r) == k * a for r in dense)
     for i in range(params.n):
@@ -129,7 +136,7 @@ def test_generator_block_structure():
 def test_node_level_mds(n, k, f):
     params, G = make_code(n, k, f)
     a = params.alpha
-    dense = oracles.dense_generator(params, G)
+    dense = oracles.dense_generator(params)
     for subset in itertools.combinations(range(1, n + 1), k):
         stacked = []
         for i in subset:
@@ -143,8 +150,8 @@ def test_encode_matches_full_matrix_product():
     X = random_matrix(rng, params.k * params.alpha, params.N, 7)
     C = encode(params, G, X)
     cols = list(zip(*X))
-    dense = oracles.dense_generator(params, G)
-    expect_cols = [mat_vec(F7, dense, list(c)) for c in cols]
+    dense = oracles.dense_generator(params)
+    expect_cols = [[oracles.inner(F7, row, c) for row in dense] for c in cols]
     assert C == [list(r) for r in zip(*expect_cols)]
 
 
@@ -224,10 +231,37 @@ def test_erasure_decode_errors():
         erasure_decode(params, G, {1: content, 2: [[0] * 3]})
 
 
+@pytest.mark.parametrize("f", [F7, make_field(3, 2)], ids=["GF7", "GF9"])
+def test_interpolate_every_helper_subset(f):
+    # at (6,3), every subset of >= k nodes, given as kernel arrays or as
+    # lists, rebuilds every block (the dense generator applied by field
+    # calls) and the data; an extra node that disagrees is named
+    params, G = make_code(6, 3, f, 2)
+    n, a, k = params.n, params.alpha, params.k
+    X = random_matrix(np.random.default_rng(f.q), k * a, 2, f.q)
+    C = [[oracles.inner(f, row, col) for col in zip(*X)] for row in oracles.dense_generator(params)]
+    blocks = {i: C[(i - 1) * a:i * a] for i in range(1, n + 1)}
+    state = make_system(params, G, X)
+    for size in range(k, n + 1):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            for given in ({i: state.content(i) for i in subset}, {i: blocks[i] for i in subset}):
+                assert code.interpolate(params, given, range(1, n + 1)) == list(blocks.values())
+                assert erasure_decode(params, G, given) == X
+            for target in set(blocks) - set(subset):
+                assert repair_node(state, target, subset) == blocks[target]
+            if size > k:
+                bad = {i: [list(row) for row in blocks[i]] for i in subset}
+                bad[subset[-1]][1][0] = f.add(bad[subset[-1]][1][0], 1)
+                for given in (bad, {i: np.array(rows) for i, rows in bad.items()}):
+                    with pytest.raises(SingularSystem, match=f"node {subset[-1]} disagrees "
+                                                              "with interpolation in group 1"):
+                        code.interpolate(params, given, [1])
+
+
 def test_replication_code():
     f2 = make_field(2)
     params, G = make_code(2, 1, f2, 1)
-    assert oracles.dense_generator(params, G) == ((1,), (1,))
+    assert oracles.dense_generator(params) == ((1,), (1,))
     assert encode(params, G, [[1]]) == [[1], [1]]
 
 
@@ -348,7 +382,7 @@ def test_decode_beyond_radius_matches_oracle(case):
 def test_decode_two_error_radius():
     # (6,2): t1 = 2, distance-5 code; all weight-2 patterns on one codeword
     params, G = make_code(6, 2, F7)
-    base = tuple(sum(G.rs[d][i] * (3, 5)[d] for d in range(2)) % 7 for i in range(6))
+    base = group_codeword(params, G, (3, 5))
     for p1, p2 in itertools.combinations(range(6), 2):
         word = list(base)
         word[p1] = (word[p1] + 2) % 7
@@ -620,4 +654,4 @@ def test_codeparams_cache_friendly():
     assert a == b and hash(a) == hash(b)
     ga = make_code(4, 2, F5, 3)[1]
     gb = make_code(4, 2, F5, 3)[1]
-    assert ga.rs is gb.rs
+    assert ga == gb and code._tables(a) is code._tables(b)

@@ -1,4 +1,5 @@
 import os
+import random
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def small_matrix():
     )
 
 
+def read_back(blob):
+    """deserialize_matrix's header and its matrix as lists of rows, after
+    checking the array: int64 when q <= 2^63, else Python ints in an
+    object array."""
+    header, symbols = container.deserialize_matrix(blob)
+    assert isinstance(symbols, np.ndarray) and symbols.ndim == 2
+    if header.q <= 2 ** 63:
+        assert symbols.dtype == np.int64
+    else:
+        assert symbols.dtype == object and all(type(v) is int for v in symbols.flat)
+    return header, symbols.tolist()
+
+
 def test_symbol_width():
     assert container.symbol_width(2) == 1
     assert container.symbol_width(5) == 1
@@ -55,9 +69,7 @@ def test_node_slice_roundtrip():
     rng = np.random.default_rng(5)
     rows = [[int(v) for v in r] for r in rng.integers(0, 5, size=(2, 3))]
     header = container.header_for(params, node_id=2)
-    back_header, back = container.deserialize_matrix(
-        container.serialize_matrix(header, rows)
-    )
+    back_header, back = read_back(container.serialize_matrix(header, rows))
     assert back == rows
     assert back_header == header
     assert back_header.node_id == 2 and back_header.q == 5
@@ -68,9 +80,7 @@ def test_node_slice_roundtrip():
 def test_roundtrip_random(case):
     q, rows = case
     header = container.ContainerHeader(q, 1, 2, 1, len(rows[0]), (0, 1))
-    back_header, back = container.deserialize_matrix(
-        container.serialize_matrix(header, rows)
-    )
+    back_header, back = read_back(container.serialize_matrix(header, rows))
     assert back == rows and back_header == header
 
 
@@ -82,7 +92,7 @@ def test_roundtrip_each_symbol_width(q, width):
     header = container.ContainerHeader(q, 1, 4, 2, 3, (0, 1), 2)
     blob = container.serialize_matrix(header, rows)
     assert len(blob) == len(container.pack_header(header)) + 16 + 15 * width
-    assert container.deserialize_matrix(blob) == (header, rows)
+    assert read_back(blob) == (header, rows)
     # the first out-of-range symbol is the one named
     bad = bytearray(blob)
     bad[-2 * width:] = b"\xff" * (2 * width)
@@ -136,7 +146,7 @@ def test_bulk_codec_matches_reference(case):
     header, rows = case
     blob = container.serialize_matrix(header, rows)
     assert blob == oracles.pack_matrix(header, rows)
-    assert container.deserialize_matrix(blob) == oracles.parse_matrix(blob) == (header, rows)
+    assert read_back(blob) == oracles.parse_matrix(blob) == (header, rows)
 
 
 def non_symbols(q):
@@ -169,6 +179,68 @@ def test_bulk_codec_names_first_bad_symbol_on_read(case, data):
     message = container_error(container.deserialize_matrix, bytes(blob))
     assert message == container_error(oracles.parse_matrix, bytes(blob))
     assert message.startswith("symbol ") and message.endswith(f"out of range for q={q}")
+
+
+def as_array(header, rows):
+    """rows as the array the kernel holds for q: int64 up to 2^63, Python
+    ints in an object array above."""
+    return np.array(rows, dtype=np.int64 if header.q <= 2 ** 63 else object)
+
+
+@pytest.mark.parametrize("p,s", WIDTH_FIELDS, ids=[f"{p}^{s}" for p, s in WIDTH_FIELDS])
+def test_array_roundtrip_every_width(p, s):
+    header = container.ContainerHeader(p, s, 4, 2, 3, (0,) * s + (1,), 1)
+    q = header.q
+    rand = random.Random(q)
+    rows = [[0, 1, q - 1, q - 2, q // 2, min(q - 1, 2 ** 63 + 5)]]
+    rows += [[rand.randrange(q) for _ in range(6)] for _ in range(3)]
+    if q > 2 ** 63:
+        assert max(max(row) for row in rows) > 2 ** 63
+    blob = container.serialize_matrix(header, as_array(header, rows))
+    assert blob == container.serialize_matrix(header, rows) == oracles.pack_matrix(header, rows)
+    assert read_back(blob) == (header, rows)
+    if q <= 2 ** 64:  # symbols in an unsigned array take the same range test
+        assert container.serialize_matrix(header, np.array(rows, dtype=np.uint64)) == blob
+
+
+@settings(max_examples=150, deadline=None)
+@given(codec_case(), st.data())
+def test_integer_array_names_first_bad_symbol(case, data):
+    header, rows = case
+    q = header.q
+    if q > 2 ** 63:  # no int64 entry is out of range above q
+        header = container.ContainerHeader(257, 1, 4, 2, 3, (0, 1), 1)
+        rows, q = [[v % 257 for v in row] for row in rows], 257
+    for r, c in bad_positions(data.draw, rows):
+        rows[r][c] = data.draw(st.one_of(st.integers(-2 ** 63, -1), st.integers(q, 2 ** 63 - 1)))
+    message = container_error(container.serialize_matrix, header, np.array(rows, dtype=np.int64))
+    assert message == container_error(oracles.pack_matrix, header, rows)
+    assert message.startswith("symbol ") and message.endswith(f"out of range for q={q}")
+
+
+def test_array_shape_and_dtype_rules():
+    header = container.ContainerHeader(5, 1, 4, 2, 3, (0, 1), 1)
+    with pytest.raises(ContainerError, match="symbol 1.0 is not an integer"):
+        container.serialize_matrix(header, np.ones((2, 2)))
+    with pytest.raises(ContainerError, match="symbol 'a' is not an integer"):
+        container.serialize_matrix(header, np.array([[1, "a"]], dtype=object))
+    # an object array takes the list rule: Python ints pass, numpy scalars do not
+    assert (container.serialize_matrix(header, np.array([[4, 0]], dtype=object))
+            == container.serialize_matrix(header, [[4, 0]]))
+    with pytest.raises(ContainerError, match="is not an integer"):
+        container.serialize_matrix(header, np.array([[4, np.int64(1)]], dtype=object))
+    with pytest.raises(ContainerError, match="symbol 5 out of range"):
+        container.serialize_matrix(header, np.array([[4, 5]], dtype=object))
+    with pytest.raises(ContainerError, match="expected a matrix"):
+        container.serialize_matrix(header, np.zeros(3, dtype=np.int64))
+    with pytest.raises(ContainerError, match="rows without columns"):
+        container.serialize_matrix(header, np.zeros((2, 0), dtype=np.int64))
+    # bools count as 0 and 1, in an array as in a list; a transposed view
+    # packs in row-major order
+    assert (container.serialize_matrix(header, np.array([[True, False]]))
+            == container.serialize_matrix(header, [[1, 0]]))
+    m = np.arange(6, dtype=np.int64).reshape(2, 3) % 5
+    assert container.serialize_matrix(header, m.T) == container.serialize_matrix(header, m.T.tolist())
 
 
 def test_extension_field_header_roundtrip():
@@ -230,7 +302,7 @@ def test_oversized_empty_frame_rejected():
             container.deserialize_matrix(
                 frame + nrows.to_bytes(8, "little") + ncols.to_bytes(8, "little"))
     empty = frame + (0).to_bytes(8, "little") + (2 ** 40).to_bytes(8, "little")
-    assert container.deserialize_matrix(empty)[1] == []
+    assert read_back(empty)[1] == []
 
 
 def test_rows_without_columns_rejected():
@@ -292,7 +364,7 @@ def test_file_helpers(tmp_path):
     path = tmp_path / "node_3.nxm"
     container.write_matrix(path, header, rows)
     back_header, back = container.read_matrix(path)
-    assert (back_header, back) == (header, rows)
+    assert (back_header, back.tolist()) == (header, rows)
 
 
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):

@@ -150,7 +150,7 @@ def test_engine_encodes_the_drawn_data(monkeypatch, q):
     mc_failure_rate(params, "rank-1", 1, "true-random", 3, 17)
     (X, C), = seen
     data_rng = np.random.default_rng(np.random.SeedSequence(entropy=17, spawn_key=(0,)))
-    assert X.tolist() == random_data(params, data_rng)
+    assert X.tolist() == random_data(params, data_rng).tolist()
     assert C.dtype == np.int64
     a, k, pts = params.alpha, params.k, params.eval_points
     for g in range(a):
@@ -251,6 +251,27 @@ def test_exact_failure_matches_rank_of_plan():
         for _ in range(10):
             plan = sample_error_plan("rank-f", 1, rng, params, f=f)
             assert exact_failure_small(params, plan) == Fraction(1, q ** f)
+
+
+def recount_failures(params, plan):
+    """exact_failure_small by field calls: every r, every planned row."""
+    f, N = params.field, params.N
+    fails = sum(any(all(oracles.inner(f, row, r) == 0 for row in rows) for _, rows in plan.entries)
+                for r in itertools.product(range(f.q), repeat=N))
+    return Fraction(fails, f.q ** N)
+
+
+@pytest.mark.parametrize("chunk", [experiments._CHUNK, 50], ids=["one-chunk", "chunk-50"])
+@pytest.mark.parametrize("q", [4, 7, 9], ids=["GF4", "GF7", "GF9"])
+def test_exact_failure_matches_field_call_recount(monkeypatch, q, chunk):
+    # 50 splits the q^3 vectors into chunks with a ragged last one
+    monkeypatch.setattr(experiments, "_CHUNK", chunk)
+    params = CodeParams(4 if q == 4 else 6, 2, field_from_order(q), 3)
+    rng = np.random.default_rng(q)
+    for model, f in [("rank-1", None), ("random-dense", None), ("rank-f", 2), ("single-cell", None)]:
+        for t in (1, params.t1):
+            plan = sample_error_plan(model, t, rng, params, f=f)
+            assert exact_failure_small(params, plan) == recount_failures(params, plan)
 
 
 def test_exact_failure_enumeration_guard():

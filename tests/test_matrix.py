@@ -4,8 +4,8 @@ oracle.
 
 Wrapping a field in experiments.CountingField sends it to the field
 kernel, where each operation goes through the field's own checked
-arithmetic; mat_mul, mat_add, mat_sub and row_rank over the wrapped
-field are the reference the prime kernel must match.
+arithmetic; the kernel's products, adds and subtractions and row_rank
+over the wrapped field are the reference the prime kernel must match.
 """
 
 import functools
@@ -19,7 +19,7 @@ import oracles
 from nxmds.errors import FieldMismatch, ShapeMismatch
 from nxmds.experiments import CountingField
 from nxmds.field import make_field
-from nxmds.matrix import kernel, mat_add, mat_mul, mat_sub, row_rank
+from nxmds.matrix import kernel, row_rank
 
 F7 = make_field(7)
 GF8 = make_field(2, 3)
@@ -53,11 +53,18 @@ def field_and_pair(draw, same_shape):
     return f, a, b
 
 
+def checked(op, f, a, b):
+    """The kernel operation `op` of f on the matrices a and b, each
+    checked by the kernel's asarray first; the answer as lists."""
+    kern = kernel(f)
+    return getattr(kern, op)(kern.asarray(a), kern.asarray(b)).tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(field_and_pair(same_shape=False))
 def test_mat_mul_bulk_matches_scalar(case):
     f, a, b = case
-    assert mat_mul(f, a, b) == mat_mul(CountingField(f), a, b)
+    assert checked("matmul", f, a, b) == checked("matmul", CountingField(f), a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -65,14 +72,14 @@ def test_mat_mul_bulk_matches_scalar(case):
 def test_add_sub_rank_bulk_match_scalar(case):
     f, a, b = case
     ref = CountingField(f)
-    assert mat_add(f, a, b) == mat_add(ref, a, b)
-    assert mat_sub(f, a, b) == mat_sub(ref, a, b)
+    assert checked("add", f, a, b) == checked("add", ref, a, b)
+    assert checked("sub", f, a, b) == checked("sub", ref, a, b)
     assert row_rank(f, a) == row_rank(ref, a)
 
 
 def test_reference_path_counts_field_ops():
     ref = CountingField(F7)
-    mat_add(ref, [[1, 2]], [[3, 4]])
+    checked("add", ref, [[1, 2]], [[3, 4]])
     assert ref.count == 2
     row_rank(ref, [[1, 2], [2, 4]])
     assert ref.count > 2
@@ -82,7 +89,7 @@ def test_mat_mul_exact_past_int64():
     top = P_BIG - 1
     a = [[top] * 3]
     b = [[top], [top], [1]]
-    assert mat_mul(make_field(P_BIG), a, b) == [[(2 * top * top + top) % P_BIG]]
+    assert checked("matmul", make_field(P_BIG), a, b) == [[(2 * top * top + top) % P_BIG]]
 
 
 @st.composite
@@ -143,11 +150,12 @@ def _with(entry, at):
     return m
 
 
+# each kernel operation, its operands checked by asarray, and row_rank
 KERNELS = {
-    "mat_mul": lambda f, m: mat_mul(f, m, [[1, 0], [0, 1]]),
-    "mat_mul-right": lambda f, m: mat_mul(f, [[1, 0], [0, 1]], m),
-    "mat_add": lambda f, m: mat_add(f, m, [[1, 1], [1, 1]]),
-    "mat_sub": lambda f, m: mat_sub(f, [[1, 1], [1, 1]], m),
+    "mat_mul": lambda f, m: checked("matmul", f, m, [[1, 0], [0, 1]]),
+    "mat_mul-right": lambda f, m: checked("matmul", f, [[1, 0], [0, 1]], m),
+    "mat_add": lambda f, m: checked("add", f, m, [[1, 1], [1, 1]]),
+    "mat_sub": lambda f, m: checked("sub", f, [[1, 1], [1, 1]], m),
     "row_rank": lambda f, m: row_rank(f, m),
 }
 
@@ -166,31 +174,31 @@ def test_kernels_reject_non_elements(f, bad, kernel, at):
 
 def test_bulk_accepts_what_check_accepts():
     # bool is an int subclass, so PrimeField.check lets it through
-    assert mat_add(F7, [[True, 6]], [[1, 1]]) == [[2, 0]]
-    assert mat_mul(F7, [[True]], [[5]]) == [[5]]
+    assert checked("add", F7, [[True, 6]], [[1, 1]]) == [[2, 0]]
+    assert checked("matmul", F7, [[True]], [[5]]) == [[5]]
 
 
 def test_mat_mul_shape_errors():
+    # ragged rows are refused on either side of a product; a product of
+    # no rows has no rows
     with pytest.raises(ShapeMismatch):
-        mat_mul(F7, [[1, 2]], [[1, 2]])
+        checked("matmul", F7, [[1, 2], [3]], [[1], [2]])
     with pytest.raises(ShapeMismatch):
-        mat_mul(F7, [[1, 2], [3]], [[1], [2]])
-    assert mat_mul(F7, [], [[1]]) == []
+        checked("matmul", F7, [[1, 2]], [[1], [2, 3]])
+    assert checked("matmul", F7, np.zeros((0, 1), dtype=np.int64), [[1]]) == []
 
 
 @pytest.mark.parametrize("f", [F7, GF8], ids=["GF7", "GF8"])
 def test_shape_errors_raise(f):
     with pytest.raises(ShapeMismatch):
-        mat_add(f, [[1, 2], [3]], [[1, 2], [3, 4]])
+        checked("add", f, [[1, 2], [3]], [[1, 2], [3, 4]])
     with pytest.raises(ShapeMismatch):
-        mat_sub(f, [[1, 2], [3, 4]], [[1, 2], [3]])
+        checked("sub", f, [[1, 2], [3, 4]], [[1, 2], [3]])
     with pytest.raises(ShapeMismatch):
         row_rank(f, [[1, 2], [3]])
     with pytest.raises(ShapeMismatch):
-        mat_mul(f, [[1, 2]], [])
-    with pytest.raises(ShapeMismatch):
-        mat_add(f, [[1, 2]], [[1, 2], [3, 4]])
-    assert mat_mul(f, [[], []], []) == [[], []]  # sums of no terms
+        checked("matmul", f, [[1, 2]], np.array([1, 2]))  # a vector is no matrix
+    assert checked("matmul", f, [[], []], []) == [[], []]  # sums of no terms
 
 
 # -- the kernels against plain field calls ---------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 
-from nxmds import clock, code
+from nxmds import clock, code, hashing
 from nxmds.code import make_code
 from nxmds.errors import (
     CommitmentViolation,
@@ -24,10 +24,10 @@ from nxmds.hashing import (
     make_prg_seed,
     prg_expand,
 )
-from nxmds.matrix import mat_vec
 from nxmds.storage import (
     ErrorPlan,
     corrupt,
+    from_slices,
     make_system,
     sample_error_plan,
     true_error_set,
@@ -57,9 +57,36 @@ def test_collect_hashes_honest_is_codeword():
     params, G, state, rng = build()
     r = draw_random_vector(3, F17, rng)
     H = collect_hashes(state, r)
-    Xr = mat_vec(F17, state.truth, list(r.symbols))
-    assert list(H.symbols) == mat_vec(F17, oracles.dense_generator(params, G), Xr)
+    Xr = [oracles.inner(F17, row, r.symbols) for row in state.truth.tolist()]
+    assert list(H.symbols) == [oracles.inner(F17, row, Xr) for row in oracles.dense_generator(params)]
     assert H.provenance == "true-random"
+
+
+HASH_FIELDS = {"GF17": F17, "GF9": make_field(3, 2), "GF8": make_field(2, 3),
+               "p3000000019": make_field(3_000_000_019)}
+
+
+@pytest.mark.parametrize("f", HASH_FIELDS.values(), ids=HASH_FIELDS.keys())
+def test_collect_hashes_match_field_calls(f):
+    # over p = 3000000019 the kernel's products run in object dtype; node
+    # content hashes alike as the state's arrays, as the int64 arrays the
+    # container reads and as lists, and a liar's block replaces its own
+    params, G, state, rng = build(5, 2, f, N=4, seed=f.q % 1000)
+    corrupt(state, sample_error_plan("random-dense", 1, rng, params))
+    r = draw_random_vector(4, f, rng)
+    a = params.alpha
+    want = [oracles.inner(f, row, r.symbols) for s in state.nodes for row in s.tolist()]
+    for i, s in enumerate(state.nodes):
+        assert hashing.node_hash(s, r) == tuple(want[i * a:(i + 1) * a])
+        assert hashing.node_hash(s.tolist(), r) == tuple(want[i * a:(i + 1) * a])
+    assert list(collect_hashes(state, r).symbols) == want
+    liar = [f.q - 1] * a
+    want[a:2 * a] = liar
+    for slices in ([s.tolist() for s in state.nodes],
+                   [np.array(s.tolist(), dtype=np.int64) for s in state.nodes]):
+        H = collect_hashes(from_slices(params, G, slices), r, liars={2: liar})
+        assert list(H.symbols) == want
+        assert all(type(v) is int for v in H.symbols)
 
 
 def test_commitment_enforced():
@@ -166,8 +193,9 @@ def test_liar_symbols_must_be_field_elements(f):
     params, G, state, rng = build(f=f)
     r = draw_random_vector(3, f, rng)
     honest = collect_hashes(state, r).symbols[:2]
-    # out of range but congruent to the honest symbol mod p, negative, huge
-    for bad in (honest[0] + f.q, -5, 10 ** 30):
+    # out of range but congruent to the honest symbol mod p, negative,
+    # huge, and values that int() would coerce into the field
+    for bad in (honest[0] + f.q, -5, 10 ** 30, 1.5, "7", np.float64(2.9)):
         with pytest.raises(FieldMismatch):
             collect_hashes(state, r, liars={1: (bad, honest[1])})
     assert collect_hashes(state, r, liars={1: honest}) == collect_hashes(state, r)
@@ -183,13 +211,6 @@ def test_verify_rejects_symbols_outside_the_field(position):
     symbols[position] += F17.q
     with pytest.raises(FieldMismatch):
         verify(HashVector(tuple(symbols), H.provenance, H.seed_bits), params, G)
-
-
-def scalar_dot(f, u, v):
-    acc = 0
-    for x, y in zip(u, v):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
 
 
 @pytest.mark.parametrize("model", ["random-dense", "rank-1"])
@@ -209,7 +230,7 @@ def test_verify_flags_projected_errors_over_extension_fields(f, model):
             entries = plan.entries
         r = draw_random_vector(3, f, rng)
         seen = {i for i, rows in entries
-                if any(scalar_dot(f, row, r.symbols) for row in rows)}
+                if any(oracles.inner(f, row, r.symbols) for row in rows)}
         report = verify(collect_hashes(state, r), params, G)
         assert report.flagged == seen
         assert report.status == ("errors-located" if seen else "clean")
@@ -236,13 +257,13 @@ def test_repair_rebuilds_clean_content():
     (bad,) = plan.nodes
     helpers = [i for i in range(1, 5) if i != bad][:2]
     rebuilt = repair_node(state, bad, helpers)
-    assert rebuilt == state._clean[bad - 1]
+    assert rebuilt == state._clean[bad - 1].tolist()
 
 
 def test_repair_honest_node_is_identity():
     params, G, state, _ = build()
     got = repair_node(state, 1, [2, 3])
-    assert got == state.content(1)
+    assert got == state.content(1).tolist()
 
 
 def test_repair_detects_corrupt_helper():
@@ -276,7 +297,7 @@ def test_repair_every_target_and_helper_set(n, k, f):
         others = [i for i in range(1, n + 1) if i != target]
         for size in (k, k + 1):
             for helpers in itertools.combinations(others, size):
-                assert repair_node(state, target, helpers) == state._clean[target - 1]
+                assert repair_node(state, target, helpers) == state._clean[target - 1].tolist()
         state.restore()
 
 
