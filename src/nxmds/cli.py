@@ -28,8 +28,9 @@ from .hashing import (
     minimal_extension_degree,
     seed_bit_count,
 )
-from .matrix import kernel
 from .storage import (
+    SystemState,
+    apply_plan,
     corrupt,
     from_slices,
     ingest,
@@ -138,14 +139,13 @@ def cmd_encode(args) -> int:
         X = random_data(params, _rng(args.seed, LABEL_DATA))
         source = f"random (seed {args.seed})"
     C = encode_array(params, X)
-    a = params.alpha
     os.makedirs(args.out, exist_ok=True)
     container.write_matrix(_data_path(args.out), container.header_for(params), X)
-    for i in range(1, params.n + 1):
+    for i, block in enumerate(C, 1):
         container.write_matrix(
             _node_path(args.out, i),
             container.header_for(params, node_id=i),
-            C[(i - 1) * a:i * a],
+            block,
         )
     _emit([
         ("command", "encode"),
@@ -162,12 +162,11 @@ def cmd_corrupt(args) -> int:
     model, t = _parse_model(args.model)
     rng = _rng(args.seed, LABEL_PLAN)
     plan = sample_error_plan(model, t, rng, params, f=args.rank)
-    a, add = params.alpha, kernel(params.field).add
-    for j, (node_id, _) in enumerate(plan.entries):
+    for (node_id, _), block in zip(plan.entries, apply_plan(params, state.nodes, plan)):
         container.write_matrix(
             _node_path(args.dir, node_id),
             container.header_for(params, node_id=node_id),
-            add(state.content(node_id), plan.rows[j * a:(j + 1) * a]),
+            block,
         )
     _emit([
         ("command", "corrupt"),
@@ -294,11 +293,8 @@ def cmd_audit(args) -> int:
         data_path = _data_path(args.dir)
         if os.path.exists(data_path):
             header, X = container.read_matrix(data_path)
-            clean = make_system(params, G, X)
-            truth = frozenset(
-                i for i in range(1, params.n + 1)
-                if not np.array_equal(state.content(i), clean.content(i))
-            )
+            truth = true_error_set(
+                SystemState(params, G, state.nodes, clean=encode_array(params, X)))
         return _audit_common(params, G, state, truth, args)
 
     field = field_from_order(args.q)
@@ -402,11 +398,10 @@ def cmd_params(args) -> int:
     return EXIT_CLEAN
 
 
-def _add_code_flags(sub, with_q=True):
+def _add_code_flags(sub):
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
-    if with_q:
-        sub.add_argument("--q", type=int, required=True)
+    sub.add_argument("--q", type=int, required=True)
     sub.add_argument("--N", type=int, default=1)
 
 

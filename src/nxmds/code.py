@@ -3,10 +3,14 @@
 Data is a matrix X with k*alpha rows and N columns, alpha = n - k.  The
 message rows are split into alpha groups of k; group g is encoded with a
 systematic Reed-Solomon (n,k) code, and node i stores one symbol row per
-group.  Concretely, coded row i*alpha + g (0-based) is symbol i of group
-g's codeword.  Stacking any k node blocks therefore determines X, and
-locating erroneous node blocks in a hash vector reduces to alpha
-independent classical RS decodes.
+group.  Every per-node array is node-major: encode_array gives
+n x alpha x N, and [i, g] (0-based) is symbol i of group g's codeword.
+A hash vector is a column of n*alpha symbols in node-block order, so
+its row i*alpha + g is [i, g] flattened (node_rows, hash_word_decode).
+Stacking any k node blocks therefore determines X, and locating
+erroneous node blocks in a hash vector reduces to alpha independent
+classical RS decodes.  Node ids are 1-based and checked by
+check_node_id alone.
 
 hash_word_decode is the one rule from decoded group words to flagged
 nodes: it decodes a matrix of hash vectors, one per column, and both
@@ -100,34 +104,41 @@ def make_code(n: int, k: int, field, N: int = 1) -> tuple[CodeParams, GeneratorM
     return params, GeneratorMatrix(params)
 
 
-def node_rows(params: CodeParams, i: int) -> range:
-    """Row labels owned by node i, numbered from 1: (i-1)*alpha+1 .. i*alpha."""
+def check_node_id(params: CodeParams, i: int) -> int:
+    """i, once it is a node id of the code (1..n); BadNodeId otherwise."""
     if not 1 <= i <= params.n:
         raise BadNodeId(f"node id {i} outside 1..{params.n}")
+    return i
+
+
+def node_rows(params: CodeParams, i: int) -> range:
+    """Row labels owned by node i in a hash vector, numbered from 1:
+    (i-1)*alpha+1 .. i*alpha."""
     a = params.alpha
-    return range((i - 1) * a + 1, i * a + 1)
+    return range((check_node_id(params, i) - 1) * a + 1, i * a + 1)
 
 
 def encode(params: CodeParams, G: GeneratorMatrix, X) -> list[list[int]]:
-    """encode_array, answered in lists."""
-    return encode_array(params, X).tolist()
+    """encode_array, answered in lists of n*alpha rows in node-block
+    order: row i*alpha+g is symbol i of group g's RS codeword."""
+    return encode_array(params, X).reshape(params.n * params.alpha, params.N).tolist()
 
 
 def encode_array(params: CodeParams, X) -> np.ndarray:
-    """Column-wise encoding into an array of the field's kernel: output
-    row i*alpha+g is symbol i of group g's RS codeword, group g's k
-    message rows times the n x k systematic weights (the interpolation
-    weights at anchors 0..k-1).  X is the k*alpha x N data as a list of
-    rows or an array; every symbol must be a field element
+    """Column-wise encoding into an n x alpha x N array of the field's
+    kernel, node-major: [i, g] is symbol i of group g's RS codeword,
+    group g's k message rows times the n x k systematic weights (the
+    interpolation weights at anchors 0..k-1).  X is the k*alpha x N data
+    as a list of rows or an array; every symbol must be a field element
     (FieldMismatch otherwise, from the kernel's asarray).  One stacked
-    product with all alpha groups, interleaved by node."""
-    a, k, n, N = params.alpha, params.k, params.n, params.N
+    product with all alpha groups, its group and node axes swapped."""
+    a, k, N = params.alpha, params.k, params.N
     kern = kernel(params.field)
     X = kern.asarray(X)
     if X.shape != (k * a, N):
         raise ShapeMismatch(f"data must be {k * a} x {N}")
     groups = kern.matmul(_tables(params).weights, X.reshape(a, k, N))
-    return groups.transpose(1, 0, 2).reshape(n * a, N)  # groups: alpha x n x N
+    return groups.transpose(1, 0, 2)  # groups: alpha x n x N
 
 
 @lru_cache(maxsize=None)
@@ -166,8 +177,7 @@ def interpolate(params: CodeParams, nodes, targets) -> list[list[list[int]]]:
     given, targets, kern = dict(nodes), list(targets), kernel(params.field)
     a, k, N = params.alpha, params.k, params.N
     for i in [*given, *targets]:
-        if not 1 <= i <= params.n:
-            raise BadNodeId(f"node id {i} outside 1..{params.n}")
+        check_node_id(params, i)
     if len(given) < k:
         raise TooFewNodes(f"need {k} nodes, got {len(given)}")
     ids = sorted(given)

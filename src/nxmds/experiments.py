@@ -15,22 +15,24 @@ SeedSequence(master, spawn_key=(1, i)): the committed error plan first,
 then the challenge (a true-random vector or a generator seed).  Trials
 run in blocks of _BLOCK.  A block's seeds expand in one call, and
 because hashing is linear, node i's hash (C_i + E_i) r = C_i r + E_i r:
-the clean hash vectors of the whole block are the columns of one
-product C R^T, C encoded once per call and R the block's vectors
-stacked, and each planned node adds its E_i r into its alpha rows.
-These are arrays of the field's kernel (matrix.kernel), for every
-field.  C is encoded once per call by code.encode_array, straight from
-the data array the rng returns (storage.random_data); R and the block's
-error rows (each plan's rows, the arrays its sampler drew,
-concatenated) are converted once each, with the kernel's element
-check, and all the block's E_i r come from one stacked product.  The block's hash vectors then go to
-code.hash_word_decode, the same rule from decoded group words to
-flagged nodes that verify applies to one vector: it checks every
-symbol, one syndrome product screens the group words, only words with
-a nonzero syndrome reach the lockstep decoder, and every corrected
-word must be a codeword (SingularSystem).  Each plan must predate its
-vector (verifier.check_commitment).  An audit misses when a planned
-node is not flagged; an undecodable audit flags nothing.
+the clean hash vectors of the whole block are one product C R^T,
+n x alpha x B with C the node-major encoding and R the block's vectors
+stacked, and each planned node adds its E_i r to its block at its
+audit's column.  These are arrays of the field's kernel (matrix.kernel),
+for every field.  C is encoded once per call by code.encode_array,
+straight from the data array the rng returns (storage.random_data); R
+and the block's error rows (storage.error_rows: each plan's t x alpha x
+N rows, the array its sampler drew, concatenated) are converted once
+each, with the kernel's element check, and all the block's E_i r come
+from one stacked product.  The block's hash vectors, viewed as n*alpha
+rows in node-block order, then go to code.hash_word_decode, the same
+rule from decoded group words to flagged nodes that verify applies to
+one vector: it checks every symbol, one syndrome product screens the
+group words, only words with a nonzero syndrome reach the lockstep
+decoder, and every corrected word must be a codeword (SingularSystem).
+Each plan must predate its vector (verifier.check_commitment).  An
+audit misses when a planned node is not flagged; an undecodable audit
+flags nothing.
 
 run_trial is the one-audit path through real storage (restore, corrupt,
 hash every node, verify).  It shares hash_word_decode with the engine,
@@ -51,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .code import CodeParams, encode_array, hash_word_decode
-from .errors import ShapeMismatch, TooLargeToEnumerate
+from .errors import TooLargeToEnumerate
 from .field import ExtensionField, field_from_order
 from .hashing import (
     PrgSeed,
@@ -65,6 +67,7 @@ from .matrix import kernel
 from .storage import (
     ErrorPlan,
     corrupt,
+    error_rows,
     random_data,
     sample_error_plan,
     true_error_set,
@@ -168,26 +171,27 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
 
 def _block_misses(params: CodeParams, C, plans, vectors) -> int:
     """Missed audits in a block: audit b commits plans[b] (None when
-    t = 0) and is hashed on vectors[b].  C is the kernel array of the
-    encoded data; the block's hash vectors are built in kernel arrays."""
-    kern, a = kernel(params.field), params.alpha
+    t = 0) and is hashed on vectors[b].  C is the node-major kernel
+    array of the encoded data; the block's hash vectors are built in
+    kernel arrays."""
+    kern = kernel(params.field)
     planned = [(b, plan) for b, plan in enumerate(plans) if plan is not None]
-    ids, audits = [], []  # per planned node: its id and its audit
+    idx, audits = [], []  # per planned node: its index and its audit
     for b, plan in planned:
         check_commitment([plan], vectors[b])
-        ids += [i for i, _ in plan.entries]
+        idx += [i - 1 for i, _ in plan.entries]
         audits += [b] * len(plan.entries)
-    # column b of H is audit b's hash vector: first the clean C r, then
-    # E_i r into the alpha rows of every planned node
+    # H[:, :, b] is audit b's hash vector, node-major: first the clean
+    # C r, then E_i r added to the block of every planned node
     R = kern.asarray(np.array([r.symbols for r in vectors]))
     H = kern.matmul(C, R.T)
-    if ids:
-        h = ((np.array(ids)[:, None] - 1) * a + np.arange(a)).ravel()
-        b = np.repeat(audits, a)
-        E = kern.asarray(np.concatenate([plan.rows for _, plan in planned]))
-        H[h, b] = kern.add(H[h, b], kern.matmul(E[:, None, :], R[b][:, :, None])[:, 0, 0])
+    if idx:
+        E = error_rows(params, [plan for _, plan in planned])
+        H[idx, :, audits] = kern.add(H[idx, :, audits],
+                                     kern.matmul(E, R[audits][:, :, None])[:, :, 0])
+    words = H.reshape(params.n * params.alpha, len(vectors))
     return sum(plan is not None and not plan.nodes <= (flagged or set())
-               for plan, flagged in zip(plans, hash_word_decode(params, H)))
+               for plan, flagged in zip(plans, hash_word_decode(params, words)))
 
 
 def exact_failure_small(params: CodeParams, plan: ErrorPlan) -> Fraction:
@@ -195,22 +199,19 @@ def exact_failure_small(params: CodeParams, plan: ErrorPlan) -> Fraction:
     the fraction of r for which some planned node's entire error matrix
     projects to zero.  The q^N vectors are the base-q digits of a
     counter, taken _CHUNK at a time: one kernel product projects every
-    planned row on a whole chunk."""
+    planned row (error_rows) on a whole chunk."""
     q, N = params.field.q, params.N
     if q ** N > ENUM_LIMIT:
         raise TooLargeToEnumerate(f"q^N = {q ** N} vectors")
     if not plan.entries:
         return Fraction(0)
     kern = kernel(params.field)
-    E = kern.asarray(plan.rows)
-    if E.shape[1] != N:
-        raise ShapeMismatch(f"error rows must have length {N}")
-    starts = np.cumsum([0] + [len(rows) for _, rows in plan.entries][:-1])  # each node's first row
+    E = error_rows(params, [plan])
     place = q ** np.arange(N - 1, -1, -1)
     fails = 0
     for start in range(0, q ** N, _CHUNK):
         R = np.arange(start, min(start + _CHUNK, q ** N))[:, None] // place % q
-        seen = np.logical_or.reduceat(kern.matmul(E, R.T) != 0, starts, axis=0)
+        seen = (kern.matmul(E, R.T) != 0).any(axis=1)  # per planned node and vector
         fails += int((~seen).any(axis=0).sum())
     return Fraction(fails, q ** N)
 

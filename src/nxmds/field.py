@@ -174,11 +174,12 @@ class ExtensionField:
     # -- digit encoding --------------------------------------------------
 
     def coords(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector over the base field, ascending degree.
+        """Coefficient vector over the base field, ascending degree, of
+        the checked element: its m base-b digits (_digits).
 
         The map is base-field-linear and bijective onto base^m.
         """
-        return tuple(self._digits(self.check(a)))
+        return _digits(self.check(a), self.base.q, self.m)
 
     def from_coords(self, v) -> int:
         if len(v) != self.m:
@@ -186,14 +187,6 @@ class ExtensionField:
         for d in v:
             self.base.check(d)
         return self._undigits(v)
-
-    def _digits(self, a: int) -> list[int]:
-        b = self.base.q
-        out = []
-        for _ in range(self.m):
-            a, d = divmod(a, b)
-            out.append(d)
-        return out
 
     def _undigits(self, ds) -> int:
         b = self.base.q
@@ -205,28 +198,19 @@ class ExtensionField:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
         f = self.base
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([f.add(x, y) for x, y in zip(da, db)])
+        return self._undigits([f.add(x, y) for x, y in zip(self.coords(a), self.coords(b))])
 
     def sub(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
         f = self.base
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([f.sub(x, y) for x, y in zip(da, db)])
+        return self._undigits([f.sub(x, y) for x, y in zip(self.coords(a), self.coords(b))])
 
     def neg(self, a: int) -> int:
-        self.check(a)
         f = self.base
-        return self._undigits([f.neg(x) for x in self._digits(a)])
+        return self._undigits([f.neg(x) for x in self.coords(a)])
 
     def mul(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        return self._undigits(self._mul_digits(self._digits(a), self._digits(b)))
+        return self._undigits(self._mul_digits(self.coords(a), self.coords(b)))
 
     def _mul_digits(self, da, db) -> list[int]:
         # schoolbook product then reduction by the monic modulus; no
@@ -310,12 +294,17 @@ def _poly_rem(f, num, den):
     return num[:d]
 
 
+def _digits(a: int, b: int, m: int) -> tuple[int, ...]:
+    """The m base-b digits of a, least significant first."""
+    out = []
+    for _ in range(m):
+        a, d = divmod(a, b)
+        out.append(d)
+    return tuple(out)
+
+
 def _monic_from_encoding(f, enc: int, degree: int):
-    digits = []
-    for _ in range(degree):
-        enc, d = divmod(enc, f.q)
-        digits.append(d)
-    return digits + [1]
+    return [*_digits(enc, f.q, degree), 1]
 
 
 def _poly_mulmod(f, a, b, mod):

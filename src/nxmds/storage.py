@@ -1,9 +1,10 @@
 """Simulated distributed storage.
 
-A SystemState holds what each node actually stores, each node's
-alpha x N block an array of the field's kernel (matrix.kernel) from the
-moment it is encoded or read.  Honest nodes store their slice of the
-clean encoding; corrupted nodes store clean + error, one kernel add.
+A SystemState holds what each node actually stores: one node-major
+n x alpha x N array of the field's kernel (matrix.kernel) from the
+moment it is encoded or read, node i's block at [i-1].  Honest nodes
+store their block of the clean encoding; corrupted nodes store clean +
+error, applied by apply_plan, one kernel add over every planned node.
 The adversary is modeled by an ErrorPlan committed (logical-clock
 stamped) before any verification randomness is drawn, matching the
 threat model: full knowledge of the stored data, none of the randomness.
@@ -26,8 +27,8 @@ matrices must pass _check_rank_one, an O(t alpha N) test of every 2 x 2
 minor through each matrix's first nonzero entry, run once over all of
 them, and a rank-f E is redrawn until row_rank, which takes the drawn
 arrays as they are, gives f.  The stored entries are tuples of Python
-ints; the plan also keeps the stacked arrays it was built from (rows),
-which corrupt and the Monte Carlo engine read.
+ints; the plan also keeps the t x alpha x N array it was built from
+(rows), which error_rows hands to apply_plan and the Monte Carlo engine.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clock
-from .code import CodeParams, GeneratorMatrix, encode_array
+from .code import CodeParams, GeneratorMatrix, check_node_id, encode_array
 from .errors import (
     BadModel,
-    BadNodeId,
     DataTooLarge,
     NoGroundTruth,
     ShapeMismatch,
@@ -55,7 +55,7 @@ MODELS = ("single-cell", "random-dense", "rank-1", "rank-f", "null-against-vecto
 class ErrorPlan:
     """Committed adversarial errors: (node id, alpha x N matrix) pairs.
 
-    rows stacks the entries' matrices in order, t*alpha x N, as an array
+    rows stacks the entries' matrices in order, t x alpha x N, as an array
     (int64 when every symbol fits); it is not part of the plan's
     equality, hash or repr.  sample_error_plan hands in the arrays it
     drew (drawn); any other construction, dataclasses.replace included,
@@ -80,7 +80,7 @@ class ErrorPlan:
                 raise ValueError(f"node {i} has an all-zero error matrix")
         if drawn is None:
             try:
-                drawn = np.array([row for _, rows in self.entries for row in rows])
+                drawn = np.array([rows for _, rows in self.entries])
             except ValueError:
                 raise ShapeMismatch("the rows of a plan's error matrices differ in length") from None
         object.__setattr__(self, "rows", drawn)
@@ -94,30 +94,28 @@ class SystemState:
     """Stored content of all n nodes, plus oracle-only extras: the clean
     encoding and the data (truth) it came from.
 
-    `nodes` is 0-indexed internally; public node ids are 1-based.  Each
-    node's content is an alpha x N kernel array.  Mutated only by
-    corrupt() and restore(); share snapshots read-only.
+    `nodes` and `_clean` are node-major n x alpha x N kernel arrays;
+    public node ids are 1-based, so node i's block is nodes[i-1].
+    Mutated only by corrupt() and restore(); share snapshots read-only.
     """
 
-    def __init__(self, params: CodeParams, G: GeneratorMatrix, slices,
+    def __init__(self, params: CodeParams, G: GeneratorMatrix, nodes,
                  clean=None, truth=None, plans=None):
         self.params = params
         self.G = G
-        self.nodes = slices
+        self.nodes = nodes
         self._clean = clean
         self.truth = truth
         self.plans = list(plans) if plans else []
 
     def content(self, i: int):
-        if not 1 <= i <= self.params.n:
-            raise BadNodeId(f"node id {i} outside 1..{self.params.n}")
-        return self.nodes[i - 1]
+        return self.nodes[check_node_id(self.params, i) - 1]
 
     def restore(self):
-        """Reset every node to its clean slice and forget applied plans."""
+        """Reset every node to its clean block and forget applied plans."""
         if self._clean is None:
             raise NoGroundTruth("state was built without the clean encoding")
-        self.nodes = [s.copy() for s in self._clean]
+        self.nodes = self._clean.copy()
         self.plans.clear()
 
 
@@ -125,50 +123,59 @@ def make_system(params: CodeParams, G: GeneratorMatrix, X) -> SystemState:
     """State of an honest system storing the data X (a list of rows or
     an array), encoded by code.encode_array."""
     C = encode_array(params, X)
-    clean = list(C.reshape(params.n, params.alpha, params.N))
-    return SystemState(params, G, [s.copy() for s in clean], clean=clean,
-                       truth=np.array(X, dtype=C.dtype))
+    return SystemState(params, G, C.copy(), clean=C, truth=np.array(X, dtype=C.dtype))
 
 
 def from_slices(params: CodeParams, G: GeneratorMatrix, slices) -> SystemState:
     """State reconstructed from node files alone: no ground truth, no
     clean encoding, so only hashing and verification are possible.
-    Each slice is checked by the kernel's asarray."""
+    Each slice is checked by the kernel's asarray, then all are stacked."""
     kern = kernel(params.field)
     if len(slices) != params.n:
         raise ShapeMismatch(f"need {params.n} node slices")
     nodes = [kern.asarray(s) for s in slices]
     if any(s.shape != (params.alpha, params.N) for s in nodes):
         raise ShapeMismatch(f"node slices must be {params.alpha} x {params.N}")
-    return SystemState(params, G, nodes)
+    return SystemState(params, G, np.stack(nodes))
+
+
+def error_rows(params: CodeParams, plans) -> np.ndarray:
+    """The plans' error matrices (their rows arrays) stacked in order
+    into one t x alpha x N kernel array: each matrix must be alpha x N
+    (ShapeMismatch), and every symbol passes the kernel's asarray."""
+    a, N = params.alpha, params.N
+    stacked = [plan.rows for plan in plans if plan.entries]
+    if any(rows.shape[1:] != (a, N) for rows in stacked):
+        raise ShapeMismatch(f"error matrices must be {a} x {N}")
+    E = np.concatenate(stacked) if stacked else np.zeros((0, a, N), dtype=np.int64)
+    return kernel(params.field).asarray(E.reshape(-1, N)).reshape(-1, a, N)
+
+
+def apply_plan(params: CodeParams, base, plan: ErrorPlan) -> np.ndarray:
+    """The planned nodes' blocks once the plan is applied to the
+    node-major base: base[i-1] + E_i for each planned node i, in the
+    plan's order, t x alpha x N.  Node ids are checked, then the rows
+    (error_rows), then one kernel add covers every planned node."""
+    idx = [check_node_id(params, i) - 1 for i, _ in plan.entries]
+    return kernel(params.field).add(base[idx], error_rows(params, [plan]))
 
 
 def corrupt(state: SystemState, plan: ErrorPlan) -> SystemState:
-    """Apply the plan: each planned node stores clean slice + E_i, one
-    kernel add from the plan's stacked rows."""
-    params = state.params
-    a, N = params.alpha, params.N
+    """Apply the plan: each planned node stores its clean block + E_i
+    (apply_plan); the other nodes keep what they store."""
     if state._clean is None:
         raise NoGroundTruth("corruption needs the clean encoding")
-    for i, rows in plan.entries:
-        if not 1 <= i <= params.n:
-            raise BadNodeId(f"node id {i} outside 1..{params.n}")
-        if len(rows) != a or any(len(row) != N for row in rows):
-            raise ShapeMismatch(f"error matrix for node {i} must be {a} x {N}")
-    kern = kernel(params.field)
-    for j, (i, _) in enumerate(plan.entries):
-        E = kern.asarray(plan.rows[j * a:(j + 1) * a])
-        state.nodes[i - 1] = kern.add(state._clean[i - 1], E)
+    blocks = apply_plan(state.params, state._clean, plan)
+    state.nodes[[i - 1 for i, _ in plan.entries]] = blocks
     state.plans.append(plan)
     return state
 
 
 def true_error_set(state: SystemState) -> frozenset[int]:
-    """Oracle: nodes whose stored slice differs from the clean encoding."""
+    """Oracle: nodes whose stored block differs from the clean encoding."""
     if state._clean is None:
         raise NoGroundTruth("ground truth was not retained")
-    return frozenset(i for i, (node, clean) in enumerate(zip(state.nodes, state._clean), 1)
-                     if not np.array_equal(node, clean))
+    return frozenset((np.flatnonzero((state.nodes != state._clean).any(axis=(1, 2))) + 1).tolist())
 
 
 def random_data(params: CodeParams, rng) -> np.ndarray:
@@ -326,4 +333,4 @@ def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
     if model == "rank-1":
         _check_rank_one(fld, drawn, W)
     entries = tuple((i, tuple(map(tuple, E))) for i, E in zip(W, drawn.tolist()))
-    return ErrorPlan(entries, model, declared_rank=declared, drawn=drawn.reshape(t * a, N))
+    return ErrorPlan(entries, model, declared_rank=declared, drawn=drawn)

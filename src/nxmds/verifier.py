@@ -23,11 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 
-from .code import CodeParams, GeneratorMatrix, hash_word_decode, interpolate
+from .code import CodeParams, GeneratorMatrix, check_node_id, hash_word_decode, interpolate
 from .errors import (
-    BadNodeId,
     CommitmentViolation,
     CorruptHelper,
     DegenerateCode,
@@ -85,19 +83,19 @@ def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
     misreport outright.  Every liar symbol must be a field element as
     given (FieldMismatch otherwise).  The state's error plans must pass
     check_commitment.  One node_hash call hashes the n*alpha stored
-    rows, stacked in node order; the liars' blocks then replace theirs.
+    rows, the node-major content viewed in node-block order; the liars'
+    blocks then replace theirs.
     """
     check_commitment(state.plans, r)
     params = state.params
     a = params.alpha
     liars = dict(liars) if liars else {}
     for i, block in liars.items():
-        if not 1 <= i <= params.n:
-            raise BadNodeId(f"node id {i} outside 1..{params.n}")
+        check_node_id(params, i)
         if len(block) != a:
             raise ShapeMismatch(f"liar block for node {i} must have alpha symbols")
         liars[i] = [params.field.check(v) for v in block]
-    out = list(node_hash(np.concatenate(state.nodes), r))
+    out = list(node_hash(state.nodes.reshape(params.n * a, params.N), r))
     for i, block in liars.items():
         out[(i - 1) * a:i * a] = block
     return HashVector(tuple(out), r.provenance, r.seed_bits)
@@ -126,8 +124,7 @@ def repair_node(state: SystemState, target: int, helpers) -> list[list[int]]:
     interpolation, and a mismatch raises CorruptHelper.
     """
     params = state.params
-    if not 1 <= target <= params.n:
-        raise BadNodeId(f"node id {target} outside 1..{params.n}")
+    check_node_id(params, target)
     helpers = sorted(set(helpers))
     if target in helpers:
         raise ValueError(f"target node {target} cannot be its own helper")

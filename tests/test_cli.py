@@ -5,10 +5,10 @@ import sys
 import pytest
 
 from nxmds import container
-from nxmds.cli import main
+from nxmds.cli import LABEL_PLAN, _rng, main
 from nxmds.code import erasure_decode, make_code
 from nxmds.field import field_from_order
-from nxmds.storage import ingest
+from nxmds.storage import corrupt, ingest, make_system, sample_error_plan
 
 
 def run(capsys, *argv):
@@ -84,6 +84,24 @@ def test_corrupt_then_verify_locates(tmp_path, capsys):
     assert code == 2
     assert report_value(text, "status") == "errors-located"
     assert report_value(text, "flagged") == bad
+
+
+@pytest.mark.parametrize("q", ["257", "9"])
+def test_corrupt_on_disk_matches_corrupt_in_memory(tmp_path, capsys, q):
+    # the node files nxmds corrupt writes hold what storage.corrupt
+    # stores in memory for the plan drawn from the same seed
+    out = tmp_path / "sys"
+    run(capsys, "encode", "--n", "6", "--k", "2", "--q", q, "--N", "3",
+        "--seed", "1", "--out", str(out))
+    code, text, _ = run(capsys, "corrupt", str(out), "--model", "dense:2", "--seed", "4")
+    assert code == 0
+    params, G = make_code(6, 2, field_from_order(int(q)), 3)
+    state = make_system(params, G, container.read_matrix(out / "data.nxm")[1])
+    plan = sample_error_plan("random-dense", 2, _rng(4, LABEL_PLAN), params)
+    assert report_value(text, "nodes") == " ".join(map(str, sorted(plan.nodes)))
+    corrupt(state, plan)
+    for i in range(1, 7):
+        assert container.read_matrix(out / f"node_{i}.nxm")[1].tolist() == state.content(i).tolist()
 
 
 def test_corrupt_output_repeats(tmp_path, capsys):

@@ -603,7 +603,9 @@ def test_encode_matches_polynomial_evaluation(params):
     assert encode(params, None, X) == C
     kern = kernel(params.field)
     got = code.encode_array(params, kern.asarray(np.array(X, dtype=np.int64)))
-    assert got.dtype == kern.dtype and got.tolist() == C
+    n, a, N = params.n, params.alpha, params.N
+    assert got.dtype == kern.dtype and got.shape == (n, a, N)
+    assert got.reshape(n * a, N).tolist() == C
 
 
 @pytest.mark.parametrize("f", [make_field(257), make_field(EDGE_P)], ids=["GF257", "edge"])

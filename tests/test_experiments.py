@@ -157,7 +157,7 @@ def test_engine_encodes_the_drawn_data(monkeypatch, q):
         for column in range(params.N):
             known = [(pts[d], X[g * k + d, column].item()) for d in range(k)]
             want = oracles.lagrange_values(params.field, known, pts)
-            assert C[g::a, column].tolist() == want
+            assert C[:, g, column].tolist() == want
 
 
 @pytest.mark.parametrize("q", [257, 9])
@@ -230,6 +230,11 @@ def test_exact_failure_rank_two():
     params = CodeParams(3, 1, make_field(3), 3)
     plan = plan_for({1: [[1, 0, 0], [0, 1, 0]]})
     assert exact_failure_small(params, plan) == Fraction(1, 9)
+
+
+def test_exact_failure_of_hand_built_empty_plan():
+    params = CodeParams(3, 1, make_field(3), 3)
+    assert exact_failure_small(params, ErrorPlan((), "single-cell")) == 0
 
 
 def test_exact_failure_obeys_union_bound():

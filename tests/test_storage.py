@@ -103,6 +103,14 @@ def test_corrupt_empty_plan_is_noop():
     assert true_error_set(state) == frozenset()
 
 
+def test_hand_built_empty_plan_is_noop():
+    params, _, state = build()
+    before = [s.tolist() for s in state.nodes]
+    corrupt(state, ErrorPlan((), "single-cell"))
+    assert [s.tolist() for s in state.nodes] == before
+    assert true_error_set(state) == frozenset()
+
+
 def test_corrupt_single_cell_changes_one_symbol():
     params, _, state = build()
     rng = np.random.default_rng(4)
@@ -309,14 +317,14 @@ def test_plan_rows_stack_the_entries(shape, model):
     rng = np.random.default_rng(q)
     plan = sample_error_plan(model, params.t1, rng, params, f=2 if model == "rank-f" else None,
                              target=[1] * N)
-    stacked = [list(row) for _, E in plan.entries for row in E]
-    assert plan.rows.shape == (params.t1 * params.alpha, N) and plan.rows.tolist() == stacked
+    stacked = [[list(row) for row in E] for _, E in plan.entries]
+    assert plan.rows.shape == (params.t1, params.alpha, N) and plan.rows.tolist() == stacked
     twin = dataclasses.replace(plan)
     assert twin.rows is not plan.rows and twin.rows.tolist() == stacked
     assert twin == plan and hash(twin) == hash(plan) and repr(twin) == repr(plan)
     assert "rows" not in repr(plan) and "drawn" not in repr(plan)
     moved = dataclasses.replace(plan, entries=plan.entries[:1])
-    assert moved.rows.tolist() == stacked[:params.alpha]
+    assert moved.rows.tolist() == stacked[:1]
     assert storage.ErrorPlan(plan.entries, model).rows.tolist() == stacked
 
 
