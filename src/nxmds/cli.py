@@ -106,24 +106,25 @@ def _node_path(directory: str, i: int) -> str:
     return os.path.join(directory, f"node_{i}.nxm")
 
 
+def _check_header(what: str, header, params, node_id: int = 0) -> None:
+    """A file read from a node directory must carry the header encode
+    wrote for it: node id i for node file i, 0 for data and hash."""
+    if header.node_id != node_id:
+        raise NxmdsError(f"{what} carries node id {header.node_id}")
+    if header != container.header_for(params, node_id):
+        raise NxmdsError(f"{what} disagrees on code parameters")
+
+
 def _load_system(directory: str):
     """Rebuild params, generator and node contents from a directory;
-    node 1's header gives the code parameters."""
+    node 1's header gives the code parameters, every header is checked."""
     header, rows = container.read_matrix(_node_path(directory, 1))
-    node_header = header
     params, G = container.code_for(header)
     slices = []
     for i in range(1, params.n + 1):
         if i > 1:
-            node_header, rows = container.read_matrix(_node_path(directory, i))
-        if node_header.node_id != i:
-            raise NxmdsError(
-                f"node file {i} carries node id {node_header.node_id}"
-            )
-        if (node_header.p, node_header.s, node_header.n, node_header.k,
-                node_header.N) != (header.p, header.s, header.n, header.k,
-                                   header.N):
-            raise NxmdsError(f"node file {i} disagrees on code parameters")
+            header, rows = container.read_matrix(_node_path(directory, i))
+        _check_header(f"node file {i}", header, params, i)
         slices.append(rows)
     return params, G, from_slices(params, G, slices)
 
@@ -183,7 +184,7 @@ def cmd_hash(args) -> int:
     container.write_matrix(
         os.path.join(args.dir, "hash.nxm"),
         container.header_for(params),
-        [[v] for v in H.symbols],
+        H.symbols[:, None],
     )
     # the shared randomness is stored alongside so the run is auditable:
     # either the expanded vector itself or the short seed it grew from
@@ -200,7 +201,7 @@ def cmd_hash(args) -> int:
         )
     else:
         container.write_matrix(
-            rvec_path, container.header_for(params), [list(r.symbols)]
+            rvec_path, container.header_for(params), r.symbols[None]
         )
     _emit([
         ("command", "hash"),
@@ -220,11 +221,12 @@ def _hash_provenance(directory: str) -> str:
 def cmd_verify(args) -> int:
     header, rows = container.read_matrix(os.path.join(args.dir, "hash.nxm"))
     params, G = container.code_for(header)
+    _check_header("hash file", header, params)
     if rows.shape != (params.n * params.alpha, 1):
         raise NxmdsError("hash file has the wrong shape")
     kind = _hash_provenance(args.dir)
     H = HashVector(
-        symbols=tuple(rows[:, 0].tolist()),
+        symbols=rows[:, 0],
         provenance=kind,
         seed_bits=seed_bit_count(kind, params),
     )
@@ -293,6 +295,7 @@ def cmd_audit(args) -> int:
         data_path = _data_path(args.dir)
         if os.path.exists(data_path):
             header, X = container.read_matrix(data_path)
+            _check_header("data file", header, params)
             truth = true_error_set(
                 SystemState(params, G, state.nodes, clean=encode_array(params, X)))
         return _audit_common(params, G, state, truth, args)

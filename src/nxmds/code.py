@@ -25,9 +25,9 @@ inversionless Berlekamp-Massey, a Chien search and Forney's formula,
 over all words at once), and one parity product confirms every
 corrected word.  Gao's decoder is the independent check in
 tests/oracles.py.  encode_array and interpolate are each one stacked
-product of the same kernel over the alpha groups.  The fixed arrays are
-cached per CodeParams (_tables), and decode_codeword is the one-column
-case.
+product of the same kernel over the alpha groups and, like
+erasure_decode, answer in its arrays.  The fixed arrays are cached per
+CodeParams (_tables), and decode_codeword is the one-column case.
 
 Evaluation points are the first n elements of the canonical enumeration
 0, 1, g, g^2, ... (g the field's generator), so the construction is
@@ -118,12 +118,6 @@ def node_rows(params: CodeParams, i: int) -> range:
     return range((check_node_id(params, i) - 1) * a + 1, i * a + 1)
 
 
-def encode(params: CodeParams, G: GeneratorMatrix, X) -> list[list[int]]:
-    """encode_array, answered in lists of n*alpha rows in node-block
-    order: row i*alpha+g is symbol i of group g's RS codeword."""
-    return encode_array(params, X).reshape(params.n * params.alpha, params.N).tolist()
-
-
 def encode_array(params: CodeParams, X) -> np.ndarray:
     """Column-wise encoding into an n x alpha x N array of the field's
     kernel, node-major: [i, g] is symbol i of group g's RS codeword,
@@ -164,10 +158,10 @@ def _subset_weights(params: CodeParams, positions: tuple[int, ...]):
     return tuple(W)
 
 
-def interpolate(params: CodeParams, nodes, targets) -> list[list[list[int]]]:
-    """Blocks (alpha x N lists each) of the target node ids, rebuilt
-    from >= k node contents {node id: alpha x N matrix}, given as lists
-    of rows or arrays and checked by the kernel's asarray.
+def interpolate(params: CodeParams, nodes, targets) -> np.ndarray:
+    """Blocks of the target node ids, a targets x alpha x N kernel
+    array, rebuilt from >= k node contents {node id: alpha x N matrix},
+    given as lists of rows or arrays and checked by the kernel's asarray.
 
     The first k nodes (by id) anchor the interpolation.  One stacked
     kernel product over the alpha groups applies their weights both to
@@ -196,18 +190,19 @@ def interpolate(params: CodeParams, nodes, targets) -> list[list[list[int]]]:
         if off.any():
             g, j = np.argwhere(off)[0]
             raise SingularSystem(f"node {extras[j]} disagrees with interpolation in group {g}")
-    return cw[:, :len(targets)].transpose(1, 0, 2).tolist()
+    return cw[:, :len(targets)].transpose(1, 0, 2)
 
 
-def erasure_decode(params: CodeParams, G: GeneratorMatrix, nodes) -> list[list[int]]:
-    """Recover X from >= k node contents {node id: alpha x N matrix}.
+def erasure_decode(params: CodeParams, G: GeneratorMatrix, nodes) -> np.ndarray:
+    """Recover X, a k*alpha x N kernel array, from >= k node contents
+    {node id: alpha x N matrix}.
 
     The code is systematic, so row g*k + d of X is group g's row of
     node d+1 as interpolate rebuilds it; a node beyond the first k that
     disagrees raises SingularSystem.
     """
     blocks = interpolate(params, nodes, range(1, params.k + 1))
-    return [block[g] for g in range(params.alpha) for block in blocks]
+    return blocks.transpose(1, 0, 2).reshape(params.k * params.alpha, params.N)
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ def _block_misses(params: CodeParams, C, plans, vectors) -> int:
         audits += [b] * len(plan.entries)
     # H[:, :, b] is audit b's hash vector, node-major: first the clean
     # C r, then E_i r added to the block of every planned node
-    R = kern.asarray(np.array([r.symbols for r in vectors]))
+    R = kern.asarray(np.stack([r.symbols for r in vectors]))
     H = kern.matmul(C, R.T)
     if idx:
         E = error_rows(params, [plan for _, plan in planned])
@@ -220,14 +220,15 @@ def exact_failure_small(params: CodeParams, plan: ErrorPlan) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _prg_table(q: int, m: int, N: int):
-    """Production generator output for every seed (x, y), x-major."""
+    """Production generator output for every seed (x, y), x-major, as
+    lists of Python ints for the field calls of _zero_count."""
     if (q ** m) ** 2 * N > 8 * ENUM_LIMIT:
         raise TooLargeToEnumerate(f"{(q ** m) ** 2} seeds of length {N}")
     base = field_from_order(q)
     ext = ExtensionField(base, m)
     S = ext.q
     return tuple(
-        prg_expand(PrgSeed(x, y, ext), N).symbols
+        prg_expand(PrgSeed(x, y, ext), N).symbols.tolist()
         for x in range(S)
         for y in range(S)
     )

@@ -32,34 +32,32 @@ def symbol_bits(q: int) -> int:
     return (q - 1).bit_length()
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test; fine below ~10^12."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def _smallest_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2: the one trial-division loop
+    of is_prime, prime_factors and _as_prime_power."""
     if n % 2 == 0:
-        return False
+        return 2
     d = 3
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality test; fine below ~10^12."""
+    return n >= 2 and _smallest_factor(n) == n
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n, ascending."""
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        d = _smallest_factor(n)
+        out.append(d)
+        while n % d == 0:
+            n //= d
     return tuple(out)
 
 
@@ -396,21 +394,15 @@ def field_from_order(q: int):
 
 
 def _as_prime_power(q: int):
+    """(p, s) with q = p^s, or None; only q's smallest prime factor is
+    searched for, so a composite is never factored in full."""
     if q < 2:
         return None
-    if is_prime(q):
-        return (q, 1)
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            s = 0
-            t = q
-            while t % d == 0:
-                t //= d
-                s += 1
-            return (d, s) if t == 1 else None
-        d += 1 if d == 2 else 2
-    return None
+    p, s = _smallest_factor(q), 0
+    while q % p == 0:
+        q //= p
+        s += 1
+    return (p, s) if q == 1 else None
 
 
 def next_prime_power(x: int) -> tuple[int, int]:

@@ -24,7 +24,9 @@ seed), and expand_challenges grows seeds into vectors.  Many seeds of
 one extension expand together (prg_expand_many): the recurrence runs on
 all of them at once in arrays of the base field's kernel
 (matrix.kernel), for every base.  prg_expand is the seed-by-seed
-reference, every base-field operation a field call.
+reference, every base-field operation a field call.  A vector's
+symbols are one read-only 1-D array from its draw to the hash file:
+int64, or the kernel's dtype from prg_expand_many (and node_hash).
 """
 
 from __future__ import annotations
@@ -43,13 +45,16 @@ TRUE_RANDOM = "true-random"
 PSEUDORANDOM = "pseudorandom"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomVector:
-    symbols: tuple[int, ...]
+    symbols: np.ndarray  # made read-only; vectors compare by identity
     field: object
     provenance: str  # TRUE_RANDOM | PSEUDORANDOM
     seed_bits: int
     drawn_at: int
+
+    def __post_init__(self):
+        self.symbols.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -70,14 +75,17 @@ class PrgSeed:
         return _shared_bits(PSEUDORANDOM, self.ext.base.q, m=self.ext.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HashVector:
-    """n*alpha hash symbols in node-block order, plus how the projection
-    vector was obtained (needed for honest accounting in reports)."""
+    """n*alpha hash symbols in node-block order, read-only, plus how the
+    projection vector was obtained (needed for honest accounting)."""
 
-    symbols: tuple[int, ...]
+    symbols: np.ndarray
     provenance: str
     seed_bits: int
+
+    def __post_init__(self):
+        self.symbols.flags.writeable = False
 
 
 def minimal_extension_degree(q: int, N: int) -> int:
@@ -92,11 +100,8 @@ def minimal_extension_degree(q: int, N: int) -> int:
 def draw_random_vector(N: int, field, rng) -> RandomVector:
     if N < 1:
         raise ValueError("N must be >= 1")
-    symbols = tuple(rng.integers(0, field.q, size=N).tolist())
-    return RandomVector(
-        symbols, field, TRUE_RANDOM, _shared_bits(TRUE_RANDOM, field.q, N=N),
-        clock.tick(),
-    )
+    return RandomVector(rng.integers(0, field.q, size=N), field, TRUE_RANDOM,
+                        _shared_bits(TRUE_RANDOM, field.q, N=N), clock.tick())
 
 
 def make_prg_seed(field, N: int, rng) -> PrgSeed:
@@ -136,9 +141,8 @@ def prg_expand(seed: PrgSeed, N: int) -> RandomVector:
         out.append(acc)
         if i + 1 < N:
             power = ext.mul(power, seed.x)
-    return RandomVector(
-        tuple(out), base, PSEUDORANDOM, seed.bits, seed.drawn_at
-    )
+    return RandomVector(np.array(out, dtype=np.int64), base, PSEUDORANDOM,
+                        seed.bits, seed.drawn_at)
 
 
 def prg_expand_many(seeds, N: int) -> list[RandomVector]:
@@ -170,10 +174,8 @@ def prg_expand_many(seeds, N: int) -> list[RandomVector]:
     for i in range(1, N):
         powers[:, i] = kern.matmul(powers[:, i - 1, None], times_x)[:, 0]
     out = kern.matmul(powers, y[:, :, None])[:, :, 0]
-    return [
-        RandomVector(tuple(row), base, PSEUDORANDOM, s.bits, s.drawn_at)
-        for row, s in zip(out.tolist(), seeds)
-    ]
+    return [RandomVector(row, base, PSEUDORANDOM, s.bits, s.drawn_at)
+            for row, s in zip(out, seeds)]
 
 
 def draw_challenge(params, kind: str, rng) -> RandomVector | PrgSeed:
@@ -201,15 +203,16 @@ def draw_vector(params, kind: str, rng) -> tuple[RandomVector, PrgSeed | None]:
     return r, drawn if isinstance(drawn, PrgSeed) else None
 
 
-def node_hash(content, r: RandomVector):
-    """One symbol per stored row, as Python ints: the row's inner
-    product with r.  content is a list of rows or an array, checked by
-    the kernel's asarray; one kernel product hashes all of its rows."""
+def node_hash(content, r: RandomVector) -> np.ndarray:
+    """One symbol per stored row, a 1-D array of the kernel's dtype: the
+    row's inner product with r.  content is a list of rows or an array;
+    it and r are checked by the kernel's asarray, and one kernel product
+    hashes all of its rows."""
     kern = kernel(r.field)
-    content, R = kern.asarray(content), kern.asarray([r.symbols])
+    content, R = kern.asarray(content), kern.asarray(r.symbols[None])
     if content.shape[1] != R.shape[1]:
         raise ShapeMismatch(f"rows must have length {R.shape[1]}")
-    return tuple(kern.matmul(content, R.T)[:, 0].tolist())
+    return kern.matmul(content, R.T)[:, 0]
 
 
 def seed_bit_count(kind: str, params) -> int:

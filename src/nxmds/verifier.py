@@ -8,6 +8,9 @@ flags a subset of the truly erroneous ones, and exactly all of them
 unless some node's every error row is orthogonal to the projection
 vector (the protocol's documented failure event).
 
+Hash vectors and rebuilt blocks stay the kernel arrays that node_hash
+and code.interpolate return.
+
 Flags come from code.hash_word_decode, the one rule from decoded group
 words to flagged nodes; the Monte Carlo engine (experiments) calls the
 same function and the same check_commitment, the one check that error
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 
 from .code import CodeParams, GeneratorMatrix, check_node_id, hash_word_decode, interpolate
 from .errors import (
@@ -84,7 +88,7 @@ def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
     given (FieldMismatch otherwise).  The state's error plans must pass
     check_commitment.  One node_hash call hashes the n*alpha stored
     rows, the node-major content viewed in node-block order; the liars'
-    blocks then replace theirs.
+    blocks then replace theirs in its array.
     """
     check_commitment(state.plans, r)
     params = state.params
@@ -95,10 +99,10 @@ def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
         if len(block) != a:
             raise ShapeMismatch(f"liar block for node {i} must have alpha symbols")
         liars[i] = [params.field.check(v) for v in block]
-    out = list(node_hash(state.nodes.reshape(params.n * a, params.N), r))
+    out = node_hash(state.nodes.reshape(params.n * a, params.N), r)
     for i, block in liars.items():
         out[(i - 1) * a:i * a] = block
-    return HashVector(tuple(out), r.provenance, r.seed_bits)
+    return HashVector(out, r.provenance, r.seed_bits)
 
 
 def verify(H: HashVector, params: CodeParams, G: GeneratorMatrix) -> VerificationReport:
@@ -106,7 +110,7 @@ def verify(H: HashVector, params: CodeParams, G: GeneratorMatrix) -> Verificatio
     hash_word_decode.  Every symbol must be a field element
     (FieldMismatch otherwise, from hash_word_decode's check).  G is not
     consulted: the parity checks come from the cached per-code tables."""
-    (flagged,) = hash_word_decode(params, [[v] for v in H.symbols])
+    (flagged,) = hash_word_decode(params, H.symbols[:, None])
     hash_bits = params.n * params.alpha * symbol_bits(params.field.q)
     if flagged is None:
         status, flagged = STATUS_UNDECODABLE, frozenset()
@@ -115,8 +119,9 @@ def verify(H: HashVector, params: CodeParams, G: GeneratorMatrix) -> Verificatio
     return VerificationReport(status, flagged, hash_bits, H.seed_bits, H.provenance)
 
 
-def repair_node(state: SystemState, target: int, helpers) -> list[list[int]]:
-    """Rebuild a node's content from >= k helper nodes by interpolation.
+def repair_node(state: SystemState, target: int, helpers) -> np.ndarray:
+    """Rebuild a node's content, an alpha x N kernel array, from >= k
+    helper nodes by interpolation.
 
     The first k helpers anchor it.  Helper corruption is detectable only
     with more than k helpers (any k blocks are consistent with some

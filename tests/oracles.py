@@ -10,6 +10,7 @@ decoder.  Slow on purpose; use only at small parameters.  The .nxm reference cod
 one symbol at a time.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -186,6 +187,15 @@ def inner(field, u, v):
     for a, b in zip(u, v):
         acc = field.add(acc, field.mul(a, b))
     return acc
+
+
+def vector_fields(v):
+    """Every field of a RandomVector or HashVector, which compare by
+    identity, with the symbols as a list of values: two vectors are
+    equal when these are."""
+    out = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
+    out["symbols"] = v.symbols.tolist()
+    return out
 
 
 def dense_generator(params):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -55,7 +56,7 @@ def test_encode_ingests_file(tmp_path, capsys):
     nodes = {
         i: container.read_matrix(out / f"node_{i}.nxm")[1] for i in (2, 4)
     }
-    assert erasure_decode(params, G, nodes) == X
+    assert erasure_decode(params, G, nodes).tolist() == X
 
 
 def test_encode_rejects_oversized_data(tmp_path, capsys):
@@ -427,6 +428,39 @@ def test_damaged_file_is_malformed(tmp_path, capsys):
     (out / "node_1.nxm").write_bytes(b"GARBAGE" + blob[7:])
     code, _, _ = run(capsys, "audit", str(out), "--seed", "1")
     assert code == 1
+
+
+def rewrite_header(path, **change):
+    """Rewrite an .nxm file with some header fields changed."""
+    header, rows = container.read_matrix(path)
+    container.write_matrix(path, dataclasses.replace(header, **change), rows)
+
+
+# (file, header change, commands that must refuse it, message)
+BAD_HEADERS = {
+    "node-id": ("node_2.nxm", {"node_id": 3}, ["hash", "repair", "audit"],
+                "node file 2 carries node id 3"),
+    "node-params": ("node_3.nxm", {"k": 1}, ["hash", "repair", "audit"],
+                    "node file 3 disagrees on code parameters"),
+    "node-modulus": ("node_2.nxm", {"modulus": (2, 2, 1)}, ["hash", "repair", "audit"],
+                     "node file 2 disagrees on code parameters"),
+    "hash-node-id": ("hash.nxm", {"node_id": 5}, ["verify"], "hash file carries node id 5"),
+    "data-header": ("data.nxm", {"N": 2}, ["audit"], "data file disagrees on code parameters"),
+}
+
+
+@pytest.mark.parametrize("name,change,commands,message", BAD_HEADERS.values(),
+                         ids=BAD_HEADERS.keys())
+def test_every_header_read_is_checked(tmp_path, capsys, name, change, commands, message):
+    # over GF(9), whose canonical modulus is x^2 + 1 = (1, 0, 1): every
+    # file a command reads must carry the header encode wrote for it
+    out = pipeline(tmp_path, capsys, q="9")
+    run(capsys, "hash", str(out), "--seed", "3")
+    rewrite_header(out / name, **change)
+    for command in commands:
+        extra = ["--node", "1"] if command == "repair" else []
+        code, _, err = run(capsys, command, str(out), *extra)
+        assert (code, err) == (1, f"error: {message}\n")
 
 
 def test_bad_model_is_malformed(tmp_path, capsys):

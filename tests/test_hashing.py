@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 import oracles
 from nxmds import hashing
 
-from nxmds.code import make_code
+from nxmds.code import encode_array, make_code
 from nxmds.errors import ExtensionTooSmall, ShapeMismatch
 from nxmds.field import make_extension, make_field, symbol_bits
 from nxmds.hashing import (
     PrgSeed,
+    RandomVector,
     draw_random_vector,
     draw_vector,
     expand_challenges,
@@ -45,7 +46,7 @@ def test_minimal_extension_degree():
 def test_draw_random_vector_reproducible():
     a = draw_random_vector(3, F5, np.random.default_rng(42))
     b = draw_random_vector(3, F5, np.random.default_rng(42))
-    assert a.symbols == b.symbols
+    assert a.symbols.tolist() == b.symbols.tolist()
     assert a.provenance == "true-random"
     assert a.seed_bits == 9  # 3 symbols * 3 bits
     assert all(0 <= v < 5 for v in a.symbols)
@@ -81,7 +82,7 @@ def test_prg_expand_hand_example():
     from nxmds.hashing import PrgSeed
 
     r = prg_expand(PrgSeed(2, 1, ext), 4)
-    assert r.symbols == (1, 0, 0, 1)
+    assert r.symbols.tolist() == [1, 0, 0, 1]
     assert r.provenance == "pseudorandom"
     assert r.seed_bits == 6
 
@@ -95,7 +96,7 @@ def test_prg_expand_degenerate_seeds():
     assert r.symbols[0] == oracles.inner(F2, ext.coords(1), ext.coords(5))
     assert all(v == 0 for v in r.symbols[1:])
     r0 = prg_expand(PrgSeed(3, 0, ext), 5)
-    assert r0.symbols == (0, 0, 0, 0, 0)
+    assert r0.symbols.tolist() == [0, 0, 0, 0, 0]
 
 
 def test_prg_expand_matches_direct_powers():
@@ -139,36 +140,34 @@ def test_make_prg_seed_sizing():
     assert make_prg_seed(make_field(17), 2, rng).m == 1
 
 
+def ones(N):
+    """The all-ones projection vector over GF(5)."""
+    return RandomVector(np.ones(N, dtype=np.int64), F5, "true-random", 9, 0)
+
+
 def test_node_hash_row_sums():
     # projecting on the all-ones vector sums each row
-    from nxmds.hashing import RandomVector
-
-    r = RandomVector((1, 1, 1), F5, "true-random", 9, 0)
+    r = ones(3)
     content = [[1, 2, 3], [4, 4, 0]]
-    assert node_hash(content, r) == (1, 3)
-    assert node_hash([[0, 0, 0]], r) == (0,)
+    assert node_hash(content, r).tolist() == [1, 3]
+    assert node_hash([[0, 0, 0]], r).tolist() == [0]
 
 
 def test_node_hash_miss_condition():
     # a corrupted row changes the hash iff its error is not orthogonal to r
-    from nxmds.hashing import RandomVector
-
-    r = RandomVector((1, 1, 1), F5, "true-random", 9, 0)
+    r = ones(3)
     row = [2, 0, 1]
     e_hidden = [1, 4, 0]  # sums to 0 mod 5
     e_seen = [1, 0, 0]
     dirty_hidden = [(a + b) % 5 for a, b in zip(row, e_hidden)]
     dirty_seen = [(a + b) % 5 for a, b in zip(row, e_seen)]
-    assert node_hash([dirty_hidden], r) == node_hash([row], r)
-    assert node_hash([dirty_seen], r) != node_hash([row], r)
+    assert node_hash([dirty_hidden], r).tolist() == node_hash([row], r).tolist()
+    assert node_hash([dirty_seen], r).tolist() != node_hash([row], r).tolist()
 
 
 def test_node_hash_shape():
-    from nxmds.hashing import RandomVector
-
-    r = RandomVector((1, 1, 1), F5, "true-random", 9, 0)
     with pytest.raises(ShapeMismatch):
-        node_hash([[1, 2]], r)
+        node_hash([[1, 2]], ones(3))
 
 
 @pytest.mark.parametrize("kind", ["true-random", "pseudorandom"])
@@ -176,21 +175,15 @@ def test_hash_codeword_identity(kind):
     # stacking node hashes of an honest system equals G (X r)
     rng = np.random.default_rng(17)
     f17 = make_field(17)
-    params, G = make_code(5, 3, f17, 6)
+    params, _ = make_code(5, 3, f17, 6)
     X = [[int(v) for v in row]
          for row in rng.integers(0, 17, size=(params.k * params.alpha, 6))]
     if kind == "true-random":
         r = draw_random_vector(6, f17, rng)
     else:
         r = prg_expand(make_prg_seed(f17, 6, rng), 6)
-    from nxmds.code import encode
-
-    C = encode(params, G, X)
-    a = params.alpha
-    H = []
-    for i in range(1, params.n + 1):
-        H.extend(node_hash([C[(i - 1) * a + j] for j in range(a)], r))
-    Xr = [oracles.inner(f17, row, r.symbols) for row in X]
+    H = [v for block in encode_array(params, X) for v in node_hash(block, r).tolist()]
+    Xr = [oracles.inner(f17, row, r.symbols.tolist()) for row in X]
     assert H == [oracles.inner(f17, row, Xr) for row in oracles.dense_generator(params)]
 
 
@@ -201,11 +194,11 @@ def test_draw_vector_matches_direct_draws(kind):
     rng = np.random.default_rng(3)
     if kind == "true-random":
         assert seed is None
-        assert r.symbols == draw_random_vector(6, params.field, rng).symbols
+        assert r.symbols.tolist() == draw_random_vector(6, params.field, rng).symbols.tolist()
     else:
         direct = make_prg_seed(params.field, 6, rng)
         assert (seed.x, seed.y, seed.m) == (direct.x, direct.y, direct.m)
-        assert r.symbols == prg_expand(direct, 6).symbols
+        assert r.symbols.tolist() == prg_expand(direct, 6).symbols.tolist()
     assert r.provenance == kind
     with pytest.raises(ValueError):
         draw_vector(params, "quantum", rng)
@@ -258,7 +251,8 @@ def seed_block(draw):
 @given(seed_block())
 def test_bulk_expansion_matches_prg_expand(case):
     seeds, N = case
-    assert prg_expand_many(seeds, N) == [prg_expand(s, N) for s in seeds]
+    assert ([oracles.vector_fields(r) for r in prg_expand_many(seeds, N)]
+            == [oracles.vector_fields(prg_expand(s, N)) for s in seeds])
 
 
 def test_bulk_expansion_past_int64_is_scalar(monkeypatch):
@@ -266,11 +260,11 @@ def test_bulk_expansion_past_int64_is_scalar(monkeypatch):
     # products run over exact Python ints, with no call of prg_expand
     ext = make_extension(make_field(3_000_000_019), 2)
     seeds = [PrgSeed(ext.q - 1, ext.q - 2, ext), PrgSeed(12345678901, 3, ext)]
-    want = [prg_expand(s, 4) for s in seeds]
+    want = [oracles.vector_fields(prg_expand(s, 4)) for s in seeds]
     calls = []
     monkeypatch.setattr(hashing, "prg_expand",
                         lambda s, N: calls.append(s) or prg_expand(s, N))
-    assert prg_expand_many(seeds, 4) == want
+    assert [oracles.vector_fields(r) for r in prg_expand_many(seeds, 4)] == want
     assert calls == []
 
 
@@ -289,4 +283,6 @@ def test_expand_challenges_keeps_order():
              for kind in ("pseudorandom", "true-random", "pseudorandom")]
     out = expand_challenges(drawn, 6)
     assert out[1] is drawn[1]
-    assert [out[0], out[2]] == [prg_expand(drawn[0], 6), prg_expand(drawn[2], 6)]
+    assert ([oracles.vector_fields(out[0]), oracles.vector_fields(out[2])]
+            == [oracles.vector_fields(prg_expand(drawn[0], 6)),
+                oracles.vector_fields(prg_expand(drawn[2], 6))])

@@ -7,7 +7,7 @@ import pytest
 import oracles
 
 from nxmds import clock, code, hashing
-from nxmds.code import make_code
+from nxmds.code import interpolate, make_code
 from nxmds.errors import (
     CommitmentViolation,
     CorruptHelper,
@@ -16,6 +16,7 @@ from nxmds.errors import (
     SingularSystem,
     TooFewHelpers,
 )
+from nxmds.experiments import _block_misses
 from nxmds.field import FieldSpec, make_field
 from nxmds.hashing import (
     HashVector,
@@ -32,6 +33,7 @@ from nxmds.storage import (
     sample_error_plan,
     true_error_set,
 )
+from nxmds.matrix import kernel
 from nxmds.verifier import (
     THEOREMS,
     accounting,
@@ -57,8 +59,8 @@ def test_collect_hashes_honest_is_codeword():
     params, G, state, rng = build()
     r = draw_random_vector(3, F17, rng)
     H = collect_hashes(state, r)
-    Xr = [oracles.inner(F17, row, r.symbols) for row in state.truth.tolist()]
-    assert list(H.symbols) == [oracles.inner(F17, row, Xr) for row in oracles.dense_generator(params)]
+    Xr = [oracles.inner(F17, row, r.symbols.tolist()) for row in state.truth.tolist()]
+    assert H.symbols.tolist() == [oracles.inner(F17, row, Xr) for row in oracles.dense_generator(params)]
     assert H.provenance == "true-random"
 
 
@@ -70,23 +72,58 @@ HASH_FIELDS = {"GF17": F17, "GF9": make_field(3, 2), "GF8": make_field(2, 3),
 def test_collect_hashes_match_field_calls(f):
     # over p = 3000000019 the kernel's products run in object dtype; node
     # content hashes alike as the state's arrays, as the int64 arrays the
-    # container reads and as lists, and a liar's block replaces its own
+    # container reads and as lists, and a liar's block replaces its own.
+    # Hashes and rebuilt blocks are arrays of the kernel's dtype.
     params, G, state, rng = build(5, 2, f, N=4, seed=f.q % 1000)
-    corrupt(state, sample_error_plan("random-dense", 1, rng, params))
+    plan = sample_error_plan("random-dense", 1, rng, params)
+    corrupt(state, plan)
     r = draw_random_vector(4, f, rng)
-    a = params.alpha
-    want = [oracles.inner(f, row, r.symbols) for s in state.nodes for row in s.tolist()]
+    a, dtype = params.alpha, kernel(f).dtype
+    want = [oracles.inner(f, row, r.symbols.tolist()) for s in state.nodes for row in s.tolist()]
     for i, s in enumerate(state.nodes):
-        assert hashing.node_hash(s, r) == tuple(want[i * a:(i + 1) * a])
-        assert hashing.node_hash(s.tolist(), r) == tuple(want[i * a:(i + 1) * a])
-    assert list(collect_hashes(state, r).symbols) == want
+        for content in (s, s.tolist()):
+            got = hashing.node_hash(content, r)
+            assert got.dtype == dtype and got.tolist() == want[i * a:(i + 1) * a]
+    H = collect_hashes(state, r)
+    assert H.symbols.dtype == dtype and H.symbols.tolist() == want
     liar = [f.q - 1] * a
     want[a:2 * a] = liar
     for slices in ([s.tolist() for s in state.nodes],
                    [np.array(s.tolist(), dtype=np.int64) for s in state.nodes]):
         H = collect_hashes(from_slices(params, G, slices), r, liars={2: liar})
-        assert list(H.symbols) == want
-        assert all(type(v) is int for v in H.symbols)
+        assert H.symbols.dtype == dtype and H.symbols.tolist() == want
+        assert not H.symbols.flags.writeable
+    # the clean blocks by field calls: the dense generator times the data
+    cols = list(zip(*state.truth.tolist()))
+    clean = [[oracles.inner(f, row, c) for c in cols] for row in oracles.dense_generator(params)]
+    (bad,) = plan.nodes
+    helpers = [i for i in range(1, params.n + 1) if i != bad]
+    rebuilt = interpolate(params, {i: state.content(i) for i in helpers}, range(1, params.n + 1))
+    assert rebuilt.dtype == dtype and rebuilt.shape == (params.n, a, params.N)
+    assert rebuilt.tolist() == [clean[i * a:(i + 1) * a] for i in range(params.n)]
+    block = repair_node(state, bad, helpers)
+    assert block.dtype == dtype and block.tolist() == clean[(bad - 1) * a:bad * a]
+
+
+@pytest.mark.parametrize("f", [F17, make_field(3, 2)], ids=["GF17", "GF9"])
+@pytest.mark.parametrize("bad", ["q", -1])
+def test_hand_built_vector_checked_where_consumed(f, bad):
+    # a RandomVector or HashVector built by hand, not drawn, holding a
+    # symbol outside the field: its symbols are made read-only, and
+    # hashing, the engine's block and verify each refuse it with the
+    # kernel's check
+    params, G, state, rng = build(f=f)
+    symbols = np.array([1, f.q if bad == "q" else bad, 0])
+    r = RandomVector(symbols, f, "true-random", 15, clock.tick())
+    assert not symbols.flags.writeable
+    with pytest.raises(FieldMismatch):
+        collect_hashes(state, r)
+    with pytest.raises(FieldMismatch):
+        _block_misses(params, state.nodes, [None], [r])
+    H = collect_hashes(state, draw_random_vector(3, f, rng)).symbols.copy()
+    H[5] = symbols[1]
+    with pytest.raises(FieldMismatch):
+        verify(HashVector(H, "true-random", 15), params, G)
 
 
 def test_commitment_enforced():
@@ -118,7 +155,7 @@ def test_verify_locates_visible_error(kind):
     plan = sample_error_plan("single-cell", 1, rng, params)
     corrupt(state, plan)
     # all-ones r: any single-cell error has nonzero projection
-    r = RandomVector((1, 1, 1), F17, kind, 15, clock.tick())
+    r = RandomVector(np.ones(3, dtype=np.int64), F17, kind, 15, clock.tick())
     report = verify(collect_hashes(state, r), params, G)
     assert report.status == "errors-located"
     assert report.flagged == plan.nodes == true_error_set(state)
@@ -142,7 +179,7 @@ def test_verify_rejects_non_codeword(monkeypatch):
     # construction, never a verdict on the nodes
     params, G, state, rng = build()
     r = draw_random_vector(3, F17, rng)
-    honest = collect_hashes(state, r).symbols
+    honest = collect_hashes(state, r).symbols.tolist()
     # node 2 misreports every symbol, so every group word needs decoding
     H = collect_hashes(state, r, liars={2: [(v + 1) % 17 for v in honest[2:4]]})
     monkeypatch.setattr(code, "_lockstep_block", lambda params, S: (
@@ -158,7 +195,7 @@ def test_verify_documented_miss():
     target = [1, 3, 5]
     plan = sample_error_plan("null-against-vector", 1, rng, params, target=target)
     corrupt(state, plan)
-    r = RandomVector(tuple(target), F17, "true-random", 15, clock.tick())
+    r = RandomVector(np.array(target), F17, "true-random", 15, clock.tick())
     report = verify(collect_hashes(state, r), params, G)
     assert report.status == "clean"
     assert report.flagged == frozenset()
@@ -192,13 +229,14 @@ def test_liar_block_confined():
 def test_liar_symbols_must_be_field_elements(f):
     params, G, state, rng = build(f=f)
     r = draw_random_vector(3, f, rng)
-    honest = collect_hashes(state, r).symbols[:2]
+    honest = collect_hashes(state, r).symbols[:2].tolist()
     # out of range but congruent to the honest symbol mod p, negative,
     # huge, and values that int() would coerce into the field
     for bad in (honest[0] + f.q, -5, 10 ** 30, 1.5, "7", np.float64(2.9)):
         with pytest.raises(FieldMismatch):
             collect_hashes(state, r, liars={1: (bad, honest[1])})
-    assert collect_hashes(state, r, liars={1: honest}) == collect_hashes(state, r)
+    assert (oracles.vector_fields(collect_hashes(state, r, liars={1: honest}))
+            == oracles.vector_fields(collect_hashes(state, r)))
 
 
 @pytest.mark.parametrize("position", [0, 6])
@@ -207,10 +245,10 @@ def test_verify_rejects_symbols_outside_the_field(position):
     # not; both must be rejected, not read mod p or flagged
     params, G, state, rng = build()
     H = collect_hashes(state, draw_random_vector(3, F17, rng))
-    symbols = list(H.symbols)
+    symbols = H.symbols.copy()
     symbols[position] += F17.q
     with pytest.raises(FieldMismatch):
-        verify(HashVector(tuple(symbols), H.provenance, H.seed_bits), params, G)
+        verify(HashVector(symbols, H.provenance, H.seed_bits), params, G)
 
 
 @pytest.mark.parametrize("model", ["random-dense", "rank-1"])
@@ -230,7 +268,7 @@ def test_verify_flags_projected_errors_over_extension_fields(f, model):
             entries = plan.entries
         r = draw_random_vector(3, f, rng)
         seen = {i for i, rows in entries
-                if any(oracles.inner(f, row, r.symbols) for row in rows)}
+                if any(oracles.inner(f, row, r.symbols.tolist()) for row in rows)}
         report = verify(collect_hashes(state, r), params, G)
         assert report.flagged == seen
         assert report.status == ("errors-located" if seen else "clean")
@@ -257,13 +295,13 @@ def test_repair_rebuilds_clean_content():
     (bad,) = plan.nodes
     helpers = [i for i in range(1, 5) if i != bad][:2]
     rebuilt = repair_node(state, bad, helpers)
-    assert rebuilt == state._clean[bad - 1].tolist()
+    assert rebuilt.tolist() == state._clean[bad - 1].tolist()
 
 
 def test_repair_honest_node_is_identity():
     params, G, state, _ = build()
     got = repair_node(state, 1, [2, 3])
-    assert got == state.content(1).tolist()
+    assert got.tolist() == state.content(1).tolist()
 
 
 def test_repair_detects_corrupt_helper():
@@ -297,7 +335,7 @@ def test_repair_every_target_and_helper_set(n, k, f):
         others = [i for i in range(1, n + 1) if i != target]
         for size in (k, k + 1):
             for helpers in itertools.combinations(others, size):
-                assert repair_node(state, target, helpers) == state._clean[target - 1].tolist()
+                assert repair_node(state, target, helpers).tolist() == state._clean[target - 1].tolist()
         state.restore()
 
 
