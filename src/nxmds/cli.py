@@ -163,7 +163,7 @@ def cmd_corrupt(args) -> int:
     model, t = _parse_model(args.model)
     rng = _rng(args.seed, LABEL_PLAN)
     plan = sample_error_plan(model, t, rng, params, f=args.rank)
-    for (node_id, _), block in zip(plan.entries, apply_plan(params, state.nodes, plan)):
+    for node_id, block in zip(plan.ids, apply_plan(params, state.nodes, plan)):
         container.write_matrix(
             _node_path(args.dir, node_id),
             container.header_for(params, node_id=node_id),

@@ -29,7 +29,7 @@ import numpy as np
 
 from .code import CodeParams, make_code
 from .errors import BadMagic, ContainerError, TruncatedPayload, VersionMismatch
-from .field import lowest_irreducible, make_field, symbol_bits
+from .field import make_field, symbol_bits
 
 MAGIC = b"NXMDS1"
 VERSION = 1
@@ -77,12 +77,10 @@ def code_for(header: ContainerHeader):
     else would silently change the arithmetic, so it is rejected.
     """
     field = make_field(header.p, header.s)
-    expected = (lowest_irreducible(make_field(header.p), header.s)
-                if header.s > 1 else (0, 1))
-    if tuple(header.modulus) != expected:
+    if tuple(header.modulus) != field.modulus:
         raise ContainerError(
             f"modulus {header.modulus} is not the canonical modulus "
-            f"{expected} for GF({header.p}^{header.s})"
+            f"{field.modulus} for GF({header.p}^{header.s})"
         )
     return make_code(header.n, header.k, field, header.N)
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from .code import CodeParams, encode_array, hash_word_decode
 from .errors import TooLargeToEnumerate
-from .field import ExtensionField, field_from_order
+from .field import ExtensionField, field_from_order, make_extension
 from .hashing import (
     PrgSeed,
     draw_challenge,
@@ -179,8 +179,8 @@ def _block_misses(params: CodeParams, C, plans, vectors) -> int:
     idx, audits = [], []  # per planned node: its index and its audit
     for b, plan in planned:
         check_commitment([plan], vectors[b])
-        idx += [i - 1 for i, _ in plan.entries]
-        audits += [b] * len(plan.entries)
+        idx += [i - 1 for i in plan.ids]
+        audits += [b] * len(plan.ids)
     # H[:, :, b] is audit b's hash vector, node-major: first the clean
     # C r, then E_i r added to the block of every planned node
     R = kern.asarray(np.stack([r.symbols for r in vectors]))
@@ -203,8 +203,6 @@ def exact_failure_small(params: CodeParams, plan: ErrorPlan) -> Fraction:
     q, N = params.field.q, params.N
     if q ** N > ENUM_LIMIT:
         raise TooLargeToEnumerate(f"q^N = {q ** N} vectors")
-    if not plan.entries:
-        return Fraction(0)
     kern = kernel(params.field)
     E = error_rows(params, [plan])
     place = q ** np.arange(N - 1, -1, -1)
@@ -224,8 +222,7 @@ def _prg_table(q: int, m: int, N: int):
     lists of Python ints for the field calls of _zero_count."""
     if (q ** m) ** 2 * N > 8 * ENUM_LIMIT:
         raise TooLargeToEnumerate(f"{(q ** m) ** 2} seeds of length {N}")
-    base = field_from_order(q)
-    ext = ExtensionField(base, m)
+    ext = make_extension(field_from_order(q), m)
     S = ext.q
     return tuple(
         prg_expand(PrgSeed(x, y, ext), N).symbols.tolist()

@@ -356,7 +356,6 @@ def is_irreducible(f, poly) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
 def lowest_irreducible(base, m: int) -> tuple[int, ...]:
     """First monic irreducible of degree m over base, scanning candidates
     in increasing order of their coefficient encoding."""

@@ -26,9 +26,10 @@ checked by code that runs under python -O too: the plan's rank-1
 matrices must pass _check_rank_one, an O(t alpha N) test of every 2 x 2
 minor through each matrix's first nonzero entry, run once over all of
 them, and a rank-f E is redrawn until row_rank, which takes the drawn
-arrays as they are, gives f.  The stored entries are tuples of Python
-ints; the plan also keeps the t x alpha x N array it was built from
-(rows), which error_rows hands to apply_plan and the Monte Carlo engine.
+arrays as they are, gives f.  The plan keeps that t x alpha x N array
+as its one form of E (rows, read-only), which error_rows hands to
+apply_plan and the Monte Carlo engine.  Bytes are packed into symbols
+and back in one bit pass (ingest, extract).
 """
 
 from __future__ import annotations
@@ -51,43 +52,47 @@ from .matrix import kernel, row_rank
 MODELS = ("single-cell", "random-dense", "rank-1", "rank-f", "null-against-vector")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorPlan:
-    """Committed adversarial errors: (node id, alpha x N matrix) pairs.
+    """Committed adversarial errors: the planned node ids, in order, and
+    their error matrices, one read-only t x alpha x N array (rows[j] is
+    node ids[j]'s E; an array handed in is kept and made read-only, a
+    nested sequence is converted once by np.asarray).  Plans compare by
+    identity; entries is the same plan as Python ints."""
 
-    rows stacks the entries' matrices in order, t x alpha x N, as an array
-    (int64 when every symbol fits); it is not part of the plan's
-    equality, hash or repr.  sample_error_plan hands in the arrays it
-    drew (drawn); any other construction, dataclasses.replace included,
-    converts the entries once."""
-
-    entries: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+    ids: tuple[int, ...]
+    rows: np.ndarray
     model: str
     declared_rank: int | None = None
     committed_at: int = dataclasses.field(default_factory=clock.tick)
-    drawn: dataclasses.InitVar[np.ndarray | None] = None
-    rows: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, drawn):
+    def __post_init__(self):
         if self.model not in MODELS:
             raise BadModel(f"unknown error model {self.model!r}")
-        seen = set()
-        for i, rows in self.entries:
-            if i in seen:
-                raise ValueError(f"node {i} appears twice in plan")
-            seen.add(i)
-            if not any(any(row) for row in rows):
-                raise ValueError(f"node {i} has an all-zero error matrix")
-        if drawn is None:
-            try:
-                drawn = np.array([rows for _, rows in self.entries])
-            except ValueError:
-                raise ShapeMismatch("the rows of a plan's error matrices differ in length") from None
-        object.__setattr__(self, "rows", drawn)
+        ids = tuple(self.ids)
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"node {max(ids, key=ids.count)} appears twice in plan")
+        try:
+            rows = np.asarray(self.rows)
+        except ValueError:
+            raise ShapeMismatch("the rows of a plan's error matrices differ in length") from None
+        if rows.ndim != 3 or len(rows) != len(ids):
+            raise ShapeMismatch(f"{len(ids)} nodes need as many error matrices, got {rows.shape}")
+        zero = [i for i, E in zip(ids, rows) if not np.count_nonzero(E)]
+        if zero:
+            raise ValueError(f"node {zero[0]} has an all-zero error matrix")
+        rows.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def nodes(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.entries)
+        return frozenset(self.ids)
+
+    @property
+    def entries(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+        """(node id, E as a tuple of rows of Python ints) per planned node."""
+        return tuple((i, tuple(map(tuple, E))) for i, E in zip(self.ids, self.rows.tolist()))
 
 
 class SystemState:
@@ -140,14 +145,13 @@ def from_slices(params: CodeParams, G: GeneratorMatrix, slices) -> SystemState:
 
 
 def error_rows(params: CodeParams, plans) -> np.ndarray:
-    """The plans' error matrices (their rows arrays) stacked in order
-    into one t x alpha x N kernel array: each matrix must be alpha x N
+    """The rows arrays of one or more plans stacked in order into one
+    t x alpha x N kernel array: each matrix must be alpha x N
     (ShapeMismatch), and every symbol passes the kernel's asarray."""
     a, N = params.alpha, params.N
-    stacked = [plan.rows for plan in plans if plan.entries]
-    if any(rows.shape[1:] != (a, N) for rows in stacked):
+    if any(plan.rows.shape[1:] != (a, N) for plan in plans):
         raise ShapeMismatch(f"error matrices must be {a} x {N}")
-    E = np.concatenate(stacked) if stacked else np.zeros((0, a, N), dtype=np.int64)
+    E = np.concatenate([plan.rows for plan in plans])
     return kernel(params.field).asarray(E.reshape(-1, N)).reshape(-1, a, N)
 
 
@@ -156,7 +160,7 @@ def apply_plan(params: CodeParams, base, plan: ErrorPlan) -> np.ndarray:
     node-major base: base[i-1] + E_i for each planned node i, in the
     plan's order, t x alpha x N.  Node ids are checked, then the rows
     (error_rows), then one kernel add covers every planned node."""
-    idx = [check_node_id(params, i) - 1 for i, _ in plan.entries]
+    idx = [check_node_id(params, i) - 1 for i in plan.ids]
     return kernel(params.field).add(base[idx], error_rows(params, [plan]))
 
 
@@ -166,7 +170,7 @@ def corrupt(state: SystemState, plan: ErrorPlan) -> SystemState:
     if state._clean is None:
         raise NoGroundTruth("corruption needs the clean encoding")
     blocks = apply_plan(state.params, state._clean, plan)
-    state.nodes[[i - 1 for i, _ in plan.entries]] = blocks
+    state.nodes[[i - 1 for i in plan.ids]] = blocks
     state.plans.append(plan)
     return state
 
@@ -192,40 +196,42 @@ def symbol_capacity_bits(params: CodeParams) -> int:
     return params.k * params.alpha * params.N * b
 
 
-def ingest(data: bytes, params: CodeParams):
-    """Pack a byte string into a data matrix, MSB first, row-major,
-    floor(log2 q) bits per symbol; unused symbols stay zero."""
+def _bit_weights(b: int) -> np.ndarray:
+    """2^(b-1), ..., 2, 1: a b-bit slot's place values, int64 while a
+    slot fits (b <= 62), Python ints otherwise."""
+    return np.array([1 << j for j in range(b - 1, -1, -1)], dtype=np.int64 if b <= 62 else object)
+
+
+def ingest(data: bytes, params: CodeParams) -> np.ndarray:
+    """Pack a byte string into a k*alpha x N data matrix, MSB first,
+    row-major, floor(log2 q) bits per symbol; unused symbols stay zero.
+    One unpackbits pass: each slot is its bits times _bit_weights."""
     b = params.field.q.bit_length() - 1
     cap = symbol_capacity_bits(params)
     if 8 * len(data) > cap:
         raise DataTooLarge(f"{len(data)} bytes exceed capacity {cap // 8} bytes")
-    acc = int.from_bytes(data, "big") << (cap - 8 * len(data))
-    mask = (1 << b) - 1
-    a, k, N = params.alpha, params.k, params.N
-    X = []
-    slot = 0
-    for _ in range(k * a):
-        row = []
-        for _ in range(N):
-            slot += 1
-            row.append((acc >> (cap - slot * b)) & mask)
-        X.append(row)
-    return X
+    bits = np.zeros(cap, dtype=np.uint8)
+    bits[:8 * len(data)] = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    return (bits.reshape(params.k * params.alpha, params.N, b) * _bit_weights(b)).sum(axis=2)
 
 
 def extract(params: CodeParams, X) -> bytes:
-    """Inverse of ingest, truncated to whole bytes of capacity."""
+    """Inverse of ingest, truncated to whole bytes of capacity: one
+    packbits pass.  A symbol outside 0..2^b - 1 has no b-bit slot
+    (DataTooLarge names the first)."""
     b = params.field.q.bit_length() - 1
-    cap = symbol_capacity_bits(params)
-    a, k, N = params.alpha, params.k, params.N
-    if len(X) != k * a or any(len(row) != N for row in X):
-        raise ShapeMismatch(f"data must be {k * a} x {N}")
-    acc = 0
-    for row in X:
-        for v in row:
-            acc = (acc << b) | v
-    nbytes = cap // 8
-    return (acc >> (cap - 8 * nbytes)).to_bytes(nbytes, "big")
+    weights = _bit_weights(b)
+    shape = (params.k * params.alpha, params.N)
+    if not isinstance(X, np.ndarray):
+        X = np.array(X, dtype=object)  # exact ints; a ragged list is 1-D
+    if X.shape != shape:
+        raise ShapeMismatch(f"data must be {shape[0]} x {shape[1]}")
+    wide = (X < 0) | (X >= 1 << b)
+    if wide.any():
+        r, c = divmod(int(wide.argmax()), shape[1])
+        raise DataTooLarge(f"symbol {X[r, c]} at row {r}, column {c} does not fit in {b} bits")
+    bits = X.astype(weights.dtype)[:, :, None] // weights % 2
+    return np.packbits(bits.astype(np.uint8))[:symbol_capacity_bits(params) // 8].tobytes()
 
 
 # -- adversary samplers ----------------------------------------------------
@@ -332,5 +338,4 @@ def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
             E[:] = [_orthogonal_row(rng, fld, list(target)) for _ in range(a)]
     if model == "rank-1":
         _check_rank_one(fld, drawn, W)
-    entries = tuple((i, tuple(map(tuple, E))) for i, E in zip(W, drawn.tolist()))
-    return ErrorPlan(entries, model, declared_rank=declared, drawn=drawn)
+    return ErrorPlan(W, drawn, model, declared_rank=declared)

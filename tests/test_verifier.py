@@ -323,7 +323,7 @@ def corrupt_node(state, i, rng):
     params = state.params
     E = [[1 + int(v) for v in rng.integers(0, params.field.q - 1, size=params.N)]
          for _ in range(params.alpha)]
-    corrupt(state, ErrorPlan(((i, tuple(map(tuple, E))),), "random-dense"))
+    corrupt(state, ErrorPlan((i,), [E], "random-dense"))
 
 
 @pytest.mark.parametrize("n,k,f", REPAIR_CASES)
