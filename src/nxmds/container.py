@@ -10,10 +10,12 @@ the accounting report instead.
 A symbol is an `int` (bools count, as 0 and 1) in [0, q).  A matrix is
 written from a list of rows, where anything else is refused (numpy
 integer scalars included), or from a 2-D ndarray of an integer dtype
-(or of object dtype holding ints), which one vectorised range test
-checks.  A read returns an ndarray: int64 when q <= 2^63, Python ints
-in object dtype above.  A bad symbol raises ContainerError naming the
-first one in row-major order, on write and on read alike.
+(or of object dtype holding ints).  matrix.symbol_matrix, the kernels'
+own element test, checks it: entry types scanned, then one vectorised
+range test.  A read returns an ndarray: int64 when q <= 2^63, Python
+ints in object dtype above, its stored values range-tested the same
+way.  A bad symbol raises ContainerError naming the first one in
+row-major order, on write and on read alike.
 The codec packs a whole matrix in one numpy pass: symbols are staged as
 little-endian uint64 and the low `symbol_width(q)` bytes of each are
 kept, and reading reverses that, so every width up to 8 bytes takes the
@@ -23,13 +25,13 @@ staging view and are packed one `int.to_bytes` at a time instead.
 
 import os
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .code import CodeParams, make_code
-from .errors import BadMagic, ContainerError, TruncatedPayload, VersionMismatch
+from .errors import BadMagic, ContainerError, ShapeMismatch, TruncatedPayload, VersionMismatch
 from .field import make_field, symbol_bits
+from .matrix import symbol_matrix
 
 MAGIC = b"NXMDS1"
 VERSION = 1
@@ -132,40 +134,23 @@ def parse_header(data: bytes) -> tuple[ContainerHeader, int]:
     return ContainerHeader(p, s, n, k, N, modulus, node_id), pos
 
 
-def _check_symbols(rows, q: int) -> None:
-    """Raise ContainerError naming the first symbol of `rows`, in
-    row-major order, that is not an int in [0, q)."""
-    for row in rows:
-        for v in row:
-            if not isinstance(v, int):
-                raise ContainerError(f"symbol {v!r} is not an integer")
-            if not 0 <= v < q:
-                raise ContainerError(f"symbol {v} out of range for q={q}")
-
-
 def _symbols(rows, q: int) -> np.ndarray:
     """`rows` as a 2-D ndarray once every symbol passed the module
-    docstring's rule: the types of a list's or an object array's symbols
-    are scanned, a list converted, and one range test checks them all;
-    on failure _check_symbols names the first bad symbol."""
-    if not isinstance(rows, np.ndarray):
-        cols = len(rows[0]) if rows else 0
-        if any(len(row) != cols for row in rows):
-            raise ContainerError("ragged matrix")
-        if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(rows)))):
-            _check_symbols(rows, q)
-        try:
-            rows = np.array(rows, dtype=np.uint64 if q <= 2 ** 64 else object
-                            ).reshape(len(rows), cols)
-        except OverflowError:  # negative, or 2^64 and above
-            _check_symbols(rows, q)
-    elif rows.ndim != 2:
-        raise ContainerError(f"expected a matrix, got {rows.ndim} dimension(s)")
-    elif rows.dtype.kind not in "biu" and not all(issubclass(t, int) for t in set(map(type, rows.flat))):
-        _check_symbols(rows.tolist(), q)
-    if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= q):
-        _check_symbols(rows.tolist(), q)
-    return rows
+    docstring's rule (matrix.symbol_matrix, the kernels' element test),
+    with the container's messages: the first bad symbol in row-major
+    order, a ragged matrix, or a wrong number of dimensions."""
+
+    def check(v):
+        if not isinstance(v, int):
+            raise ContainerError(f"symbol {v!r} is not an integer")
+        if not 0 <= v < q:
+            raise ContainerError(f"symbol {v} out of range for q={q}")
+
+    try:
+        return symbol_matrix(rows, q, check)
+    except ShapeMismatch as exc:  # an array's dimensions, or a list's ragged rows
+        message = str(exc) if isinstance(rows, np.ndarray) else "ragged matrix"
+        raise ContainerError(message) from None
 
 
 def serialize_matrix(header: ContainerHeader, rows) -> bytes:
@@ -212,9 +197,7 @@ def deserialize_matrix(data: bytes) -> tuple[ContainerHeader, np.ndarray]:
         symbols = flat.reshape(nrows, ncols)
     except ValueError as exc:  # an empty frame too large for numpy to shape
         raise ContainerError(f"matrix frame {nrows} x {ncols} too large") from exc
-    if symbols.size and int(symbols.max()) >= q:
-        _check_symbols(symbols.tolist(), q)
-    return header, symbols.astype(np.int64 if q <= 2 ** 63 else object, copy=False)
+    return header, _symbols(symbols, q).astype(np.int64 if q <= 2 ** 63 else object, copy=False)
 
 
 def write_matrix(path, header: ContainerHeader, rows) -> None:

@@ -17,12 +17,14 @@ field elements are held in arrays:
 
 Both kernels offer asarray, matmul (stacked operands broadcast as in
 np.matmul), add, sub, mul and inv, and the dtype of their arrays.
-asarray is the one element check: over nested sequences it applies
-exactly field.check to every entry (so bool passes and a numpy integer
-scalar does not), over an integer ndarray one vectorised range test,
-and it raises ShapeMismatch unless it has a matrix.  The other
-operations check nothing; they also take the int64 arrays an rng
-returns.
+asarray is the one element check: symbol_matrix with the field's
+order and field.check, so an entry passes exactly when field.check
+would pass it (bool does, a numpy integer scalar does not), one
+vectorised range test covers every entry, and field.check is called
+only to name the first entry that fails.  It raises ShapeMismatch
+unless it has a matrix.  The .nxm codec (container) checks its symbols
+with the same symbol_matrix.  The other operations check nothing; they
+also take the int64 arrays an rng returns.
 
 row_rank takes a matrix as a list of rows or an array and checks it
 with asarray.
@@ -35,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FieldMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 from .field import PrimeField
 
 _INT64_MAX = 2 ** 63 - 1
@@ -47,32 +49,38 @@ def int64_fits(p: int, terms: int) -> bool:
     return terms * (p - 1) ** 2 <= _INT64_MAX
 
 
-def _width(rows) -> int:
-    """The common length of the rows of a nested sequence."""
-    width = len(rows[0]) if len(rows) else 0
-    if any(len(row) != width for row in rows):
-        raise ShapeMismatch("rows must share one length")
-    return width
-
-
-def _check_each(field, rows) -> None:
-    """field.check on every entry, in row-major order: FieldMismatch
-    names the first one that is not an element."""
-    for x in itertools.chain.from_iterable(rows):
-        field.check(x)
-
-
-def _in_range(field, arr: np.ndarray, dtype) -> np.ndarray:
-    """arr as a matrix of `dtype` once one vectorised test found every
-    entry an integer in [0, q); entries of any other dtype go through
-    field.check one by one."""
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got {arr.ndim} dimension(s)")
-    if arr.size and (arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() >= field.q):
-        _check_each(field, arr.tolist())
-        if arr.dtype.kind != "O":
-            raise FieldMismatch(f"entries of dtype {arr.dtype} are not elements of {field!r}")
-    return arr.astype(dtype, copy=False)
+def symbol_matrix(rows, q: int, check) -> np.ndarray:
+    """rows, a nested sequence or an ndarray, as a 2-D array once every
+    entry passed the one element test: an int in [0, q), where bool
+    counts and a numpy scalar does not.  Ragged rows, and an array of
+    other than two dimensions, raise ShapeMismatch.  The entry types of
+    a sequence or an object array are scanned (an integer dtype needs no
+    scan), then one vectorised range test covers every entry.  Only when
+    either fails is check(x) called on each entry in row-major order, so
+    the caller's own error names the first bad symbol; check must raise
+    for every x that fails the test.  A sequence comes back in int64, or
+    in object dtype when an entry does not fit int64; an array keeps its
+    dtype."""
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2:
+            raise ShapeMismatch(f"expected a matrix, got {rows.ndim} dimension(s)")
+        arr = rows
+        ints = arr.dtype.kind in "biu" or all(issubclass(t, int) for t in set(map(type, arr.flat)))
+    else:
+        width = len(rows[0]) if len(rows) else 0
+        if any(len(row) != width for row in rows):
+            raise ShapeMismatch("rows must share one length")
+        ints = all(issubclass(t, int) for t in set(map(type, itertools.chain.from_iterable(rows))))
+        if ints:
+            try:
+                arr = np.array(rows, dtype=np.int64)
+            except OverflowError:
+                arr = np.array(rows, dtype=object)
+            arr = arr.reshape(len(rows), width)
+    if ints and not (arr.size and (int(arr.min()) < 0 or int(arr.max()) >= q)):
+        return arr
+    for x in itertools.chain.from_iterable(rows.tolist() if isinstance(rows, np.ndarray) else rows):
+        check(x)
 
 
 class _PrimeKernel:
@@ -86,16 +94,7 @@ class _PrimeKernel:
         self._inv = np.frompyfunc(field.inv, 1, 1)
 
     def asarray(self, rows) -> np.ndarray:
-        if not isinstance(rows, np.ndarray):
-            width = _width(rows)
-            if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
-                _check_each(self.field, rows)  # bool passes, as field.check lets it
-            try:
-                rows = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-            except OverflowError:
-                _check_each(self.field, rows)
-                raise
-        return _in_range(self.field, rows, np.int64)
+        return symbol_matrix(rows, self.p, self.field.check).astype(np.int64, copy=False)
 
     def _exact(self, op, a, b, terms: int) -> np.ndarray:
         """op(a, b) mod p: in int64 when its sums of `terms` products
@@ -134,11 +133,7 @@ class _FieldKernel:
         self.inv = np.frompyfunc(field.inv, 1, 1)
 
     def asarray(self, rows) -> np.ndarray:
-        if isinstance(rows, np.ndarray):
-            return _in_range(self.field, rows, object)
-        width = _width(rows)
-        _check_each(self.field, rows)
-        return np.array(rows, dtype=object).reshape(len(rows), width)
+        return symbol_matrix(rows, self.field.q, self.field.check).astype(object, copy=False)
 
     def matmul(self, a, b) -> np.ndarray:
         """One multiply-accumulate step per term of the sums."""

@@ -57,8 +57,9 @@ class ErrorPlan:
     """Committed adversarial errors: the planned node ids, in order, and
     their error matrices, one read-only t x alpha x N array (rows[j] is
     node ids[j]'s E; an array handed in is kept and made read-only, a
-    nested sequence is converted once by np.asarray).  Plans compare by
-    identity; entries is the same plan as Python ints."""
+    nested sequence is converted by np.asarray, in object dtype when
+    numpy would not read it as integers, so its entries stay exact).
+    Plans compare by identity; entries is the same plan as Python ints."""
 
     ids: tuple[int, ...]
     rows: np.ndarray
@@ -76,6 +77,9 @@ class ErrorPlan:
             rows = np.asarray(self.rows)
         except ValueError:
             raise ShapeMismatch("the rows of a plan's error matrices differ in length") from None
+        if rows is not self.rows and rows.dtype.kind not in "biu":
+            # e.g. float64 for ints past int64 beside small ones
+            rows = np.asarray(self.rows, dtype=object)
         if rows.ndim != 3 or len(rows) != len(ids):
             raise ShapeMismatch(f"{len(ids)} nodes need as many error matrices, got {rows.shape}")
         zero = [i for i, E in zip(ids, rows) if not np.count_nonzero(E)]

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .field import FieldSpec, next_prime_power, symbol_bits
 from .hashing import PSEUDORANDOM, TRUE_RANDOM, HashVector, node_hash, seed_bit_count
+from .matrix import kernel
 from .storage import SystemState
 
 STATUS_CLEAN = "clean"
@@ -85,7 +86,8 @@ def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
     Corrupted nodes hash their corrupted content; `liars` can override
     single blocks with arbitrary field elements to model nodes that
     misreport outright.  Every liar symbol must be a field element as
-    given (FieldMismatch otherwise).  The state's error plans must pass
+    given: each block is checked as a one-row matrix by the kernel's
+    asarray (FieldMismatch otherwise).  The state's error plans must pass
     check_commitment.  One node_hash call hashes the n*alpha stored
     rows, the node-major content viewed in node-block order; the liars'
     blocks then replace theirs in its array.
@@ -98,7 +100,7 @@ def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
         check_node_id(params, i)
         if len(block) != a:
             raise ShapeMismatch(f"liar block for node {i} must have alpha symbols")
-        liars[i] = [params.field.check(v) for v in block]
+        liars[i] = kernel(params.field).asarray([block])[0]
     out = node_hash(state.nodes.reshape(params.n * a, params.N), r)
     for i, block in liars.items():
         out[(i - 1) * a:i * a] = block

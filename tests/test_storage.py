@@ -13,7 +13,7 @@ import pytest
 import oracles
 from nxmds import storage
 from nxmds.code import CodeParams, make_code
-from nxmds.errors import BadModel, DataTooLarge, NoGroundTruth, ShapeMismatch
+from nxmds.errors import BadModel, DataTooLarge, FieldMismatch, NoGroundTruth, ShapeMismatch
 from nxmds.field import field_from_order, make_field
 from nxmds.matrix import kernel, row_rank
 from nxmds.storage import (
@@ -391,6 +391,27 @@ def test_plan_rows_stack_the_entries(shape, model):
 def test_plan_rejects_ragged_rows():
     with pytest.raises(ShapeMismatch, match="differ in length"):
         storage.ErrorPlan((1,), [[[1, 0], [2]]], "single-cell")
+    with pytest.raises(ShapeMismatch, match="differ in length"):  # not read as floats first
+        storage.ErrorPlan((1,), [[[2 ** 64 - 1, 0], [2]]], "single-cell")
+
+
+def test_hand_built_plan_keeps_exact_integers():
+    # numpy reads 2^64 - 1 beside small ints as float64; the plan keeps
+    # the exact ints, and a float is still no field element
+    plan = ErrorPlan((1,), [[[2 ** 64 - 1, 5], [0, 0]]], "single-cell")
+    assert plan.rows.dtype.kind != "f"
+    assert plan.entries == ((1, ((2 ** 64 - 1, 5), (0, 0))),)
+    assert all(type(v) is int for _, E in plan.entries for row in E for v in row)
+    params, G, state = build(f=F17)
+    a, N = params.alpha, params.N
+    E = [[0] * N for _ in range(a)]
+    E[0][0] = 1.5
+    plan = ErrorPlan((2,), [E], "single-cell")
+    assert plan.rows.dtype.kind != "f"
+    with pytest.raises(FieldMismatch, match="1.5 is not an element"):
+        storage.error_rows(params, [plan])
+    with pytest.raises(FieldMismatch, match="1.5 is not an element"):
+        corrupt(state, plan)
 
 
 # alpha is at most 3 over GF(4) and GF(9) and 4 over GF(7), so the oracle

@@ -9,9 +9,12 @@ BENCH_<pr>.json.
 DIR is the root of a checkout (perfbench runs its ./src).  `run` runs
 one untraced perfbench process at a time, one pair per seed, the parent
 first in even pairs and the change first in odd ones, and appends each
-run's result line to the raw file as it finishes.  `summarize` gives,
-per workload and end-to-end metric of BENCHMARK.json, the median and
-quartiles of each side, their ratio, and how many pairs the change won.
+run's result line, with the run length, to the raw file as it
+finishes.  `summarize` gives, per workload and end-to-end metric of
+BENCHMARK.json, the median and quartiles of each side, their ratio, and
+how many pairs the change won; its run_seconds is the length the raw
+rows record, and a raw file whose rows disagree on it (or lack it) is
+refused.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def run_pairs(args):
             lines = proc.stdout.strip().splitlines()
             result = json.loads(lines[-1]) if lines else None
             row = {"workload": args.workload, "pair": j, "seed": seed, "side": side,
-                   "exit": proc.returncode, "result": result}
+                   "seconds": args.seconds, "exit": proc.returncode, "result": result}
             with open(args.raw, "a") as fh:
                 fh.write(json.dumps(row) + "\n")
             print(args.workload, j, seed, side, proc.returncode,
@@ -54,8 +57,11 @@ def quartiles(xs):
 def summarize(args):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     rows = [json.loads(line) for line in open(args.raw)]
+    seconds = {r.get("seconds") for r in rows}
+    if len(seconds) != 1 or None in seconds:
+        raise SystemExit(f"{args.raw}: every run must record one run length, got {seconds}")
     out = {"pr": args.pr, "parent_commit": args.parent_commit,
-           "run_seconds": spec["run_seconds"], "workloads": {}}
+           "run_seconds": seconds.pop(), "workloads": {}}
     for w in spec["workloads"]:
         mine = [r for r in rows if r["workload"] == w["name"]]
         pairs = sorted({r["pair"] for r in mine})
