@@ -148,9 +148,10 @@ def _symbols(rows, q: int) -> np.ndarray:
 
     try:
         return symbol_matrix(rows, q, check)
-    except ShapeMismatch as exc:  # an array's dimensions, or a list's ragged rows
-        message = str(exc) if isinstance(rows, np.ndarray) else "ragged matrix"
-        raise ContainerError(message) from None
+    except ShapeMismatch as exc:  # the number of dimensions, or a list's ragged rows
+        message = str(exc)
+        raise ContainerError("ragged matrix" if message == "rows must share one length"
+                             else message) from None
 
 
 def serialize_matrix(header: ContainerHeader, rows) -> bytes:

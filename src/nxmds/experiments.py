@@ -11,28 +11,30 @@ Three kinds of evidence, kept deliberately separate:
   * instrumented operation counting for the generator's cost growth.
 
 mc_failure_rate is a block engine.  Trial i draws from its own rng,
-SeedSequence(master, spawn_key=(1, i)): the committed error plan first,
-then the challenge (a true-random vector or a generator seed).  Trials
-run in blocks of _BLOCK.  A block's seeds expand in one call, and
-because hashing is linear, node i's hash (C_i + E_i) r = C_i r + E_i r:
-the clean hash vectors of the whole block are one product C R^T,
-n x alpha x B with C the node-major encoding and R the block's vectors
-stacked, and each planned node adds its E_i r to its block at its
-audit's column.  These are arrays of the field's kernel (matrix.kernel),
-for every field.  C is encoded once per call by code.encode_array,
-straight from the data array the rng returns (storage.random_data); R
-and the block's error rows (storage.error_rows: each plan's t x alpha x
-N rows, the array its sampler drew, concatenated) are converted once
-each, with the kernel's element check, and all the block's E_i r come
-from one stacked product.  The block's hash vectors, viewed as n*alpha
-rows in node-block order, then go to code.hash_word_decode, the same
-rule from decoded group words to flagged nodes that verify applies to
-one vector: it checks every symbol, one syndrome product screens the
-group words, only words with a nonzero syndrome reach the lockstep
-decoder, and every corrected word must be a codeword (SingularSystem).
-Each plan must predate its vector (verifier.check_commitment).  An
-audit misses when a planned node is not flagged; an undecodable audit
-flags nothing.
+SeedSequence(master, spawn_key=(1, i)): the committed error plan first
+(storage.draw_plan), then the challenge (a true-random vector or a
+generator seed).  Trials run in blocks of _BLOCK.  A block's plans are
+built in one call (storage.build_plans: one kernel product makes every
+rank-1 error matrix, and one rank check covers them), its seeds expand
+in one call, and because hashing is linear, node i's hash
+(C_i + E_i) r = C_i r + E_i r: the clean hash vectors of the whole block
+are one product C R^T, n x alpha x B with C the node-major encoding and
+R the block's vectors stacked, and each planned node adds its E_i r to
+its block at its audit's column.  These are arrays of the field's kernel
+(matrix.kernel), for every field.  C is encoded once per call by
+code.encode_array, straight from the data array the rng returns
+(storage.random_data); R and the block's error rows (storage.error_rows:
+each plan's t x alpha x N rows, as drawn or built, concatenated) are
+converted once each, with the kernel's element check, and all the
+block's E_i r come from one stacked product.  The block's hash vectors,
+viewed as n*alpha rows in node-block order, then go to
+code.hash_word_decode, the same rule from decoded group words to flagged
+nodes that verify applies to one vector: it checks every symbol, one
+syndrome product screens the group words, only words with a nonzero
+syndrome reach the lockstep decoder, and every corrected word must be a
+codeword (SingularSystem).  Each plan must predate its vector
+(verifier.check_commitment).  An audit misses when a planned node is not
+flagged; an undecodable audit flags nothing.
 
 run_trial is the one-audit path through real storage (restore, corrupt,
 hash every node, verify).  It shares hash_word_decode with the engine,
@@ -66,7 +68,9 @@ from .hashing import (
 from .matrix import kernel
 from .storage import (
     ErrorPlan,
+    build_plans,
     corrupt,
+    draw_plan,
     error_rows,
     random_data,
     sample_error_plan,
@@ -157,14 +161,15 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
     C = encode_array(params, random_data(params, data_rng))
     failures = 0
     for start in range(0, trials, _BLOCK):
-        plans, drawn = [], []
+        draws, drawn = [], []
         for i in range(start, min(start + _BLOCK, trials)):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_TRIAL, i))
             )
-            plans.append(sample_error_plan(model, t, rng, params, f=f, target=target)
-                         if t else None)
+            if t:
+                draws.append(draw_plan(model, t, rng, params, f=f, target=target))
             drawn.append(draw_challenge(params, kind, rng))
+        plans = build_plans(params, draws) if t else [None] * len(drawn)
         failures += _block_misses(params, C, plans, expand_challenges(drawn, params.N))
     return RateEstimate(trials, failures, theoretical_bound(params, kind))
 

@@ -8,7 +8,8 @@ field elements are held in arrays:
            call reduced mod p.  A product whose sums could pass
            2^63 - 1 (int64_fits false, e.g. the p ~ 3*10^9 that `params`
            picks at M = 10^9 bits) runs in object dtype over exact
-           Python ints and comes back as int64.
+           Python ints and comes back as int64.  For p <= 2^16, inv is
+           a gather from a table of inverses built with the kernel.
   field    any other field object (an extension field, or an
            instrumented wrapper such as experiments.CountingField):
            object arrays of Python ints, each elementwise operation one
@@ -52,24 +53,30 @@ def int64_fits(p: int, terms: int) -> bool:
 def symbol_matrix(rows, q: int, check) -> np.ndarray:
     """rows, a nested sequence or an ndarray, as a 2-D array once every
     entry passed the one element test: an int in [0, q), where bool
-    counts and a numpy scalar does not.  Ragged rows, and an array of
-    other than two dimensions, raise ShapeMismatch.  The entry types of
-    a sequence or an object array are scanned (an integer dtype needs no
-    scan), then one vectorised range test covers every entry.  Only when
-    either fails is check(x) called on each entry in row-major order, so
-    the caller's own error names the first bad symbol; check must raise
-    for every x that fails the test.  A sequence comes back in int64, or
-    in object dtype when an entry does not fit int64; an array keeps its
-    dtype."""
+    counts and a numpy scalar does not.  Ragged rows, a flat sequence
+    and an array of other than two dimensions raise ShapeMismatch.  The
+    entry types of a sequence or an object array are scanned (an
+    integer dtype needs no scan), then one vectorised range test covers
+    every entry.  Only when either fails is check(x) called on each
+    entry in row-major order, so the caller's own error names the first
+    bad symbol; check must raise for every x that fails the test.  A
+    sequence comes back in int64, or in object dtype when an entry does
+    not fit int64; an array keeps its dtype."""
     if isinstance(rows, np.ndarray):
         if rows.ndim != 2:
             raise ShapeMismatch(f"expected a matrix, got {rows.ndim} dimension(s)")
         arr = rows
         ints = arr.dtype.kind in "biu" or all(issubclass(t, int) for t in set(map(type, arr.flat)))
     else:
-        width = len(rows[0]) if len(rows) else 0
-        if any(len(row) != width for row in rows):
+        try:
+            widths = set(map(len, rows))
+        except TypeError:  # an entry with no length: a flat list unless some row has one
+            if any(hasattr(row, "__len__") for row in rows):
+                raise ShapeMismatch("rows must share one length") from None
+            raise ShapeMismatch("expected a matrix, got 1 dimension(s)") from None
+        if len(widths) > 1:
             raise ShapeMismatch("rows must share one length")
+        width = widths.pop() if widths else 0
         ints = all(issubclass(t, int) for t in set(map(type, itertools.chain.from_iterable(rows))))
         if ints:
             try:
@@ -83,6 +90,25 @@ def symbol_matrix(rows, q: int, check) -> np.ndarray:
         check(x)
 
 
+# the largest p whose kernel keeps a table of inverses
+_TABLE_MAX = 2 ** 16
+
+
+def _inverse_table(p: int) -> np.ndarray:
+    """x^(p-2) mod p for every residue x, by square and multiply over
+    all of them at once: x's inverse for x != 0 (Fermat).  Products of
+    residues below 2^16 + 1 fit int64."""
+    x = np.arange(p, dtype=np.int64)
+    out = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
 class _PrimeKernel:
     """The kernel of a PrimeField: int64 arrays."""
 
@@ -92,6 +118,7 @@ class _PrimeKernel:
         self.field = field
         self.p = field.p
         self._inv = np.frompyfunc(field.inv, 1, 1)
+        self._inverses = _inverse_table(self.p) if self.p <= _TABLE_MAX else None
 
     def asarray(self, rows) -> np.ndarray:
         return symbol_matrix(rows, self.p, self.field.check).astype(np.int64, copy=False)
@@ -116,7 +143,14 @@ class _PrimeKernel:
         return (a - b) % self.p
 
     def inv(self, a) -> np.ndarray:
-        return self._inv(a).astype(np.int64)
+        """A gather from the inverse table when p <= 2^16 and every entry
+        is a nonzero residue; otherwise field.inv per entry, which
+        raises for a zero or a non-element."""
+        a = np.asarray(a)
+        if (self._inverses is None or a.dtype.kind not in "iu"
+                or (a.size and (a.min() <= 0 or a.max() >= self.p))):
+            return self._inv(a).astype(np.int64)
+        return self._inverses[a]
 
 
 class _FieldKernel:

@@ -18,18 +18,26 @@ Error models:
                          a negative control that forces a miss when the
                          challenge vector equals the target
 
-sample_error_plan builds each matrix once from the rng's int64 draws.
-A rank-1 E is the outer product of the drawn coefficients and base row,
-a rank-f E the product of the drawn coefficients and bases: one matmul
-of the field's array kernel (matrix.kernel).  The declared rank is
-checked by code that runs under python -O too: the plan's rank-1
-matrices must pass _check_rank_one, an O(t alpha N) test of every 2 x 2
-minor through each matrix's first nonzero entry, run once over all of
-them, and a rank-f E is redrawn until row_rank, which takes the drawn
-arrays as they are, gives f.  The plan keeps that t x alpha x N array
-as its one form of E (rows, read-only), which error_rows hands to
-apply_plan and the Monte Carlo engine.  Bytes are packed into symbols
-and back in one bit pass (ingest, extract).
+A plan is sampled in two steps, the way hashing splits a challenge
+into draw_challenge and expand_challenges.  draw_plan makes every rng
+call of one plan, in a fixed order (the node set W, then each node's
+matrix with its redraws), and takes the commitment tick last; it holds
+the rng's int64 draws as they are.  A single-cell, random-dense,
+rank-f or null-against-vector matrix is final at draw time: a rank-f E
+is the product of the drawn coefficients and bases (one matmul of the
+field's array kernel, matrix.kernel), redrawn until row_rank, which
+takes the drawn arrays as they are, gives f.  A rank-1 draw keeps its
+coefficients and base row.  build_plans turns a list of draws into
+plans at once: every rank-1 E of the list is one kernel product,
+coefficients times base rows, stored back as int64, and one
+_check_rank_one, an O(t alpha N) test of every 2 x 2 minor through
+each matrix's first nonzero entry that runs under python -O too,
+covers them all.  sample_error_plan is build_plans of one draw; the
+Monte Carlo engine draws a block's plans trial by trial and builds
+them together.  A plan keeps its t x alpha x N array as its one form of
+E (rows, read-only), which error_rows hands to apply_plan and the Monte
+Carlo engine.  Bytes are packed into symbols and back in one bit pass
+(ingest, extract).
 """
 
 from __future__ import annotations
@@ -285,11 +293,30 @@ def _check_rank_one(field, E: np.ndarray, nodes) -> None:
         raise RuntimeError(f"rank-1 error matrix of node {nodes[fail]} {problem}")
 
 
-def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
-                      f: int | None = None, target=None) -> ErrorPlan:
-    """Draw a committed plan: W is a uniform t-subset of nodes, with
-    per-node error matrices per the model.  rng is a numpy Generator;
-    the module docstring says how E is built and its rank checked."""
+@dataclass(frozen=True, eq=False)
+class PlanDraw:
+    """The rng's part of one committed plan (draw_plan): the node ids,
+    their int64 t x alpha x N error matrices, the model, the declared
+    rank and the commitment tick.  The matrices are final for every
+    model but rank-1, whose draw holds no rows but their factors: the
+    coefficients (t x alpha) and base rows (t x N) that build_plans
+    multiplies out."""
+
+    ids: tuple[int, ...]
+    rows: np.ndarray | None
+    model: str
+    declared_rank: int | None
+    committed_at: int
+    factors: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def draw_plan(model: str, t: int, rng, params: CodeParams, *,
+              f: int | None = None, target=None) -> PlanDraw:
+    """The draw step of a committed plan: W, a uniform t-subset of
+    nodes, then each node's error matrix per the model, in the rng
+    calls' fixed order, and last the commitment tick.  rng is a numpy
+    Generator; the module docstring says how E is built and its rank
+    checked."""
     if model not in MODELS:
         raise BadModel(f"unknown error model {model!r}")
     n, a, N = params.n, params.alpha, params.N
@@ -297,7 +324,7 @@ def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
     fld = params.field
     if not 0 <= t <= n:
         raise ValueError(f"t={t} outside 0..{n}")
-    W = sorted(int(i) + 1 for i in rng.choice(n, size=t, replace=False))
+    W = tuple(sorted(int(i) + 1 for i in rng.choice(n, size=t, replace=False)))
 
     declared = None
     if model == "rank-f":
@@ -314,7 +341,8 @@ def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
 
     kern = kernel(fld)
     drawn = np.zeros((t, a, N), dtype=np.int64)
-    for E, i in zip(drawn, W):
+    scales, lines = np.zeros((t, a), dtype=np.int64), np.zeros((t, N), dtype=np.int64)
+    for j, E in enumerate(drawn):
         if model == "single-cell":
             r = int(rng.integers(a))
             c = int(rng.integers(N))
@@ -322,12 +350,11 @@ def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
         elif model == "random-dense":
             E[:] = [_nonzero_row(rng, q, N) for _ in range(a)]
         elif model == "rank-1":
-            base = _nonzero_row(rng, q, N)
+            lines[j] = _nonzero_row(rng, q, N)
             while True:
-                coeffs = rng.integers(0, q, size=a)
-                if np.count_nonzero(coeffs):
+                scales[j] = rng.integers(0, q, size=a)
+                if np.count_nonzero(scales[j]):
                     break
-            E[:] = kern.matmul(coeffs[:, None], base[None, :])
         elif model == "rank-f":
             while True:
                 bases = np.array([_nonzero_row(rng, q, N) for _ in range(f)])
@@ -341,5 +368,36 @@ def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
         else:
             E[:] = [_orthogonal_row(rng, fld, list(target)) for _ in range(a)]
     if model == "rank-1":
-        _check_rank_one(fld, drawn, W)
-    return ErrorPlan(W, drawn, model, declared_rank=declared)
+        return PlanDraw(W, None, model, declared, clock.tick(), (scales, lines))
+    return PlanDraw(W, drawn, model, declared, clock.tick())
+
+
+def build_plans(params: CodeParams, draws) -> list[ErrorPlan]:
+    """The build step: one ErrorPlan per draw, in order, stamped with
+    the draw's tick.  Every rank-1 matrix of the draws comes from one
+    kernel product, coefficients times base rows, stored back as int64,
+    and one _check_rank_one covers them all, naming a failing matrix by
+    its node id."""
+    rank_one = [d for d in draws if d.factors is not None]
+    if rank_one:
+        coeffs = np.concatenate([d.factors[0] for d in rank_one])
+        bases = np.concatenate([d.factors[1] for d in rank_one])
+        E = np.empty((len(coeffs), params.alpha, params.N), dtype=np.int64)
+        E[:] = kernel(params.field).mul(coeffs[:, :, None], bases[:, None, :])
+        _check_rank_one(params.field, E, [i for d in rank_one for i in d.ids])
+        E.flags.writeable = False
+    plans, start = [], 0
+    for d in draws:
+        rows = d.rows
+        if d.factors is not None:  # the next len(d.ids) matrices of E
+            rows, start = E[start:start + len(d.ids)], start + len(d.ids)
+        plans.append(ErrorPlan(d.ids, rows, d.model, declared_rank=d.declared_rank,
+                               committed_at=d.committed_at))
+    return plans
+
+
+def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
+                      f: int | None = None, target=None) -> ErrorPlan:
+    """Draw a committed plan: draw_plan, then build_plans of that one
+    draw."""
+    return build_plans(params, [draw_plan(model, t, rng, params, f=f, target=target)])[0]

@@ -164,34 +164,45 @@ def test_engine_encodes_the_drawn_data(monkeypatch, q):
 
 @pytest.mark.parametrize("q", [257, 9])
 def test_engine_reads_the_sampled_rows(monkeypatch, q):
-    # plans copied by dataclasses.replace give the same estimate
+    # draws and plans copied by dataclasses.replace give the same estimate
     params = CodeParams(6, 2, field_from_order(q), 3)
-    sample = experiments.sample_error_plan
-    want = mc_failure_rate(params, "rank-1", 2, "true-random", 40, 3)
-    assert want.failures < 40
-    monkeypatch.setattr(experiments, "sample_error_plan",
-                        lambda *a, **kw: dataclasses.replace(sample(*a, **kw)))
-    assert mc_failure_rate(params, "rank-1", 2, "true-random", 40, 3) == want
+    draw, build = experiments.draw_plan, experiments.build_plans
+    for model in ("rank-1", "random-dense"):
+        want = mc_failure_rate(params, model, 2, "true-random", 40, 3)
+        assert want.failures < 40
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "draw_plan",
+                      lambda *a, **kw: dataclasses.replace(draw(*a, **kw)))
+            m.setattr(experiments, "build_plans",
+                      lambda params, draws: [dataclasses.replace(p) for p in build(params, draws)])
+            assert mc_failure_rate(params, model, 2, "true-random", 40, 3) == want
 
 
 @pytest.mark.parametrize("block", [1, 3, experiments._BLOCK])
 @pytest.mark.parametrize("kind", ["true-random", "pseudorandom"])
 def test_estimate_independent_of_block_size(monkeypatch, block, kind):
     params = CodeParams(6, 2, make_field(7), 3)
-    want = mc_failure_rate(params, "rank-1", 2, kind, 150, 5)
-    monkeypatch.setattr(experiments, "_BLOCK", block)
-    assert mc_failure_rate(params, "rank-1", 2, kind, 150, 5) == want
+    for model, kw in ENGINE_MODELS:
+        want = mc_failure_rate(params, model, 2, kind, 150, 5, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "_BLOCK", block)
+            assert mc_failure_rate(params, model, 2, kind, 150, 5, **kw) == want
 
 
 def test_engine_rejects_late_plan(monkeypatch):
-    def late(*args, **kwargs):
-        plan = sample_error_plan(*args, **kwargs)
-        return dataclasses.replace(plan, committed_at=plan.committed_at + 10 ** 9)
+    # a draw stamped after its trial's vector: the built plan keeps the
+    # draw's tick, and the engine refuses it
+    draw = experiments.draw_plan
 
-    monkeypatch.setattr(experiments, "sample_error_plan", late)
+    def late(*args, **kwargs):
+        drawn = draw(*args, **kwargs)
+        return dataclasses.replace(drawn, committed_at=drawn.committed_at + 10 ** 9)
+
+    monkeypatch.setattr(experiments, "draw_plan", late)
     params = CodeParams(4, 2, F5, 3)
-    with pytest.raises(CommitmentViolation):
-        mc_failure_rate(params, "rank-1", 1, "true-random", 5, 0)
+    for model in ("rank-1", "single-cell"):
+        with pytest.raises(CommitmentViolation):
+            mc_failure_rate(params, model, 1, "true-random", 5, 0)
 
 
 def test_engine_checks_corrected_words(monkeypatch):

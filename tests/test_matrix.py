@@ -257,6 +257,25 @@ def test_kernel_ops_match_field_calls(case):
         assert row_rank(f, m) == ref_rank(f, m)
 
 
+@pytest.mark.parametrize("p", [17, 257, 65521, 65537])
+def test_prime_inverses_of_every_element(p):
+    # up to 2^16 (65521 is the largest prime below) inv gathers from the
+    # kernel's table; 65537 calls field.inv per entry
+    f = make_field(p)
+    kern = kernel(f)
+    assert (kern._inverses is not None) == (p <= 2 ** 16)
+    x = np.arange(1, p, dtype=np.int64)
+    got = kern.inv(x)
+    assert got.dtype == np.int64 and got.tolist() == [f.inv(v) for v in range(1, p)]
+    assert kern.inv(x[:6].reshape(2, 3)).tolist() == [[f.inv(v) for v in range(j, j + 3)] for j in (1, 4)]
+    for zero in ([0], [[5, 0], [1, 2]], [p - 1, 0, 1]):
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            kern.inv(np.array(zero))
+    for outside in (-1, p):
+        with pytest.raises(FieldMismatch):
+            kern.inv(np.array([1, outside]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_asarray_refuses_what_check_refuses(data):

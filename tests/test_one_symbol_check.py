@@ -61,12 +61,14 @@ ARRAY_CASES = {
 def test_kernel_and_codec_agree(f):
     q, header = f.q, header_of(f)
     seen = set()
-    for rows in [*list_cases(q), [[1, 2], ["7"]], *ARRAY_CASES.values()]:
+    flat = [1, 2]  # a list of symbols, not of rows
+    for rows in [*list_cases(q), [[1, 2], ["7"]], flat, *ARRAY_CASES.values()]:
         entries = rows.tolist() if isinstance(rows, np.ndarray) else rows
         kind, got = outcome(kernel(f).asarray, rows)
         ckind, cgot = outcome(container.serialize_matrix, header, rows)
-        if isinstance(rows, np.ndarray) and rows.ndim != 2:
-            message = f"expected a matrix, got {rows.ndim} dimension(s)"
+        ndim = rows.ndim if isinstance(rows, np.ndarray) else 1 if rows is flat else 2
+        if ndim != 2:
+            message = f"expected a matrix, got {ndim} dimension(s)"
             assert (kind, got, ckind, cgot) == (ShapeMismatch, message, ContainerError, message)
             seen.add("shape")
             continue

@@ -448,6 +448,70 @@ def test_rank_one_check(f):
         storage._check_rank_one(f, np.stack([rank_one, zero, rank_two]), [1, 3, 5])
 
 
+# (6, 2): alpha = 4, t1 = 2, N = 3 allows rank 2 and a target; the
+# object-dtype product of p near 3*10^9 and of GF(9) is stored as int64
+BLOCK_CODES = {"GF257": CodeParams(6, 2, make_field(257), 3),
+               "GF9": CodeParams(6, 2, make_field(3, 2), 3),
+               "p3000000019": CodeParams(6, 2, make_field(3_000_000_019), 3)}
+
+
+def model_kw(model):
+    return {"f": 2 if model == "rank-f" else None, "target": [1, 2, 0]}
+
+
+@pytest.mark.parametrize("params", BLOCK_CODES.values(), ids=BLOCK_CODES.keys())
+def test_block_build_equals_one_by_one(params):
+    # the same draws, built one at a time (sample_error_plan) and as one
+    # block, every model interleaved and t = 0 among them, give the same
+    # plans, stamped in draw order
+    steps = [(model, t) for t in (params.t1, 0, 1) for model in storage.MODELS]
+    one, block = np.random.default_rng(5), np.random.default_rng(5)
+    singles = [sample_error_plan(m, t, one, params, **model_kw(m)) for m, t in steps]
+    draws = [storage.draw_plan(m, t, block, params, **model_kw(m)) for m, t in steps]
+    plans = storage.build_plans(params, draws)
+    assert one.integers(2 ** 62) == block.integers(2 ** 62)
+    ticks = [plan.committed_at for plan in plans]
+    assert ticks == [d.committed_at for d in draws] == sorted(set(ticks))
+    assert [p.committed_at for p in singles] == sorted(set(p.committed_at for p in singles))
+    for a, b, (model, t) in zip(singles, plans, steps):
+        assert a.ids == b.ids and len(b.ids) == t
+        assert a.rows.dtype == b.rows.dtype == np.int64
+        assert a.rows.shape == b.rows.shape == (t, params.alpha, params.N)
+        assert a.rows.tolist() == b.rows.tolist() and a.entries == b.entries
+        assert a.model == b.model == model
+        assert a.declared_rank == b.declared_rank
+        assert not b.rows.flags.writeable
+
+
+def test_block_build_names_a_rank_two_matrix(monkeypatch):
+    # a product that is not of rank 1 at the sixth of ten matrices (a
+    # broken kernel) is caught by the block's one check, which names
+    # its node
+    params = CodeParams(6, 2, F17, 3)
+    rng = np.random.default_rng(3)
+    draws = [storage.draw_plan("rank-1", 2, rng, params) for _ in range(5)]
+    real = kernel(params.field)
+
+    class Broken:
+        calls = 0
+
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def mul(self, a, b):
+            out = real.mul(a, b)
+            Broken.calls += 1
+            if Broken.calls == 1:  # the build's product, not the check's
+                out[5] = 0
+                out[5, 0, 0] = out[5, 1, 1] = 1
+            return out
+
+    monkeypatch.setattr(storage, "kernel", lambda field: Broken())
+    message = f"^rank-1 error matrix of node {draws[2].ids[1]} has rank above 1$"
+    with pytest.raises(RuntimeError, match=message):
+        storage.build_plans(params, draws)
+
+
 _OPTIMISED = """
 import json
 import numpy as np
@@ -461,7 +525,14 @@ out = {}
 checked, check = [], storage._check_rank_one
 storage._check_rank_one = lambda fld, E, nodes: checked.append(list(nodes)) or check(fld, E, nodes)
 plan = storage.sample_error_plan("rank-1", 2, np.random.default_rng(0), CodeParams(6, 2, make_field(7), 3))
-out["checked"] = [checked, sorted(plan.nodes)]
+out["checked"] = [checked[:], sorted(plan.nodes)]
+# the engine: one check per block (64 trials) over every planned node
+blocks, block_misses = [], experiments._block_misses
+experiments._block_misses = lambda params, C, plans, vectors: (
+    blocks.append([i for p in plans for i in p.ids]) or block_misses(params, C, plans, vectors))
+checked.clear()
+experiments.mc_failure_rate(CodeParams(6, 2, make_field(7), 3), "rank-1", 2, "true-random", 70, 1)
+out["engine"] = [checked, blocks]
 try:
     check(make_field(7), np.eye(3, dtype=np.int64)[None], [1])
 except RuntimeError as exc:
@@ -494,5 +565,7 @@ def test_checks_run_under_python_O():
     out = json.loads(proc.stdout)
     checked, nodes = out["checked"]
     assert checked == [nodes] and len(nodes) == 2
+    checked, blocks = out["engine"]
+    assert checked == blocks and [len(ids) for ids in blocks] == [2 * 64, 2 * 6]
     assert out["rank_one"] == "rank-1 error matrix of node 1 has rank above 1"
     assert out["lemma1"] == "convolution left the uniform law"
