@@ -16,14 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import container
-from .code import encode_array, make_code, node_rows
+from .code import CodeParams, encode_array, make_code, node_rows
 from .errors import NxmdsError
 from .experiments import bias_sweep, mc_failure_rate
 from .field import field_from_order
 from .hashing import (
     PSEUDORANDOM,
     TRUE_RANDOM,
-    HashVector,
     draw_vector,
     minimal_extension_degree,
     seed_bit_count,
@@ -184,7 +183,7 @@ def cmd_hash(args) -> int:
     container.write_matrix(
         os.path.join(args.dir, "hash.nxm"),
         container.header_for(params),
-        H.symbols[:, None],
+        H[:, None],
     )
     # the shared randomness is stored alongside so the run is auditable:
     # either the expanded vector itself or the short seed it grew from
@@ -206,8 +205,8 @@ def cmd_hash(args) -> int:
     _emit([
         ("command", "hash"),
         ("mode", r.provenance),
-        ("hash-symbols", len(H.symbols)),
-        ("seed-bits", r.seed_bits),
+        ("hash-symbols", len(H)),
+        ("seed-bits", seed_bit_count(r.provenance, params)),
     ])
     return EXIT_CLEAN
 
@@ -225,19 +224,14 @@ def cmd_verify(args) -> int:
     if rows.shape != (params.n * params.alpha, 1):
         raise NxmdsError("hash file has the wrong shape")
     kind = _hash_provenance(args.dir)
-    H = HashVector(
-        symbols=rows[:, 0],
-        provenance=kind,
-        seed_bits=seed_bit_count(kind, params),
-    )
-    report = verify(H, params, G)
+    report = verify(rows[:, 0], params, G)
     _emit([
         ("command", "verify"),
         ("params", repr(params)),
         ("mode", kind),
         ("status", report.status),
         ("flagged", _format_nodes(report.flagged)),
-        ("hash-bits", report.hash_bits),
+        ("hash-bits", accounting(params, kind).hash_bits),
     ])
     return _STATUS_EXIT[report.status]
 
@@ -369,14 +363,13 @@ def cmd_bias_check(args) -> int:
 def cmd_params(args) -> int:
     spec = choose_field(args.M, args.n, args.k, args.mode)
     field = spec.build()
-    alpha = args.n - args.k
+    kind = THEOREMS[args.mode]
     if args.N is not None:
         N = args.N
-    else:
-        per_column = args.k * alpha * (field.q - 1).bit_length()
+    else:  # the fewest columns holding M bits
+        per_column = accounting(CodeParams(args.n, args.k, field), kind).data_bits
         N = max(1, -(-args.M // per_column))
     params, _ = make_code(args.n, args.k, field, N)
-    kind = THEOREMS[args.mode]
     budget = accounting(params, kind)
     bound = failure_bound(args.n, args.k, field.q, kind)
     items = [

@@ -95,7 +95,6 @@ class TrialResult:
     detected: bool
     missed: frozenset[int]
     status: str
-    provenance: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +134,7 @@ def run_trial(state, model: str, t: int, kind: str, rng, *,
     r, _ = draw_vector(params, kind, rng)
     report = verify(collect_hashes(state, r), params, state.G)
     missed = true_error_set(state) - report.flagged
-    return TrialResult(not missed, missed, report.status, report.randomness)
+    return TrialResult(not missed, missed, report.status)
 
 
 def theoretical_bound(params: CodeParams, kind: str) -> float:

@@ -4,7 +4,9 @@ Every node projects each stored row onto the same length-N vector r; the
 n*alpha inner products, stacked in node order, form a codeword of the
 (n,k) code offset by the projected errors.  r comes in two kinds, and
 this module owns them: it names them, draws r for either (draw_vector)
-and prices the shared randomness (seed_bit_count).  What each kind
+and prices the shared randomness (seed_bit_count, the one pricing: a
+vector carries its kind as provenance, not its cost, and
+verifier.accounting prices the rest of an audit).  What each kind
 guarantees, the theorem and its failure bound, lives in the verifier.
 
   true-random    N uniform symbols, N*ceil(log2 q) shared bits
@@ -25,8 +27,10 @@ one extension expand together (prg_expand_many): the recurrence runs on
 all of them at once in arrays of the base field's kernel
 (matrix.kernel), for every base.  prg_expand is the seed-by-seed
 reference, every base-field operation a field call.  A vector's
-symbols are one read-only 1-D array from its draw to the hash file:
-int64, or the kernel's dtype from prg_expand_many (and node_hash).
+symbols are one read-only 1-D array: int64, or the kernel's dtype from
+prg_expand_many.  node_hash answers in the kernel's dtype too, and the
+verifier's hash vector is that array, n*alpha symbols, as it is written
+to the hash file.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ class RandomVector:
     symbols: np.ndarray  # made read-only; vectors compare by identity
     field: object
     provenance: str  # TRUE_RANDOM | PSEUDORANDOM
-    seed_bits: int
     drawn_at: int
 
     def __post_init__(self):
@@ -70,23 +73,6 @@ class PrgSeed:
     def m(self) -> int:
         return self.ext.m
 
-    @property
-    def bits(self) -> int:
-        return _shared_bits(PSEUDORANDOM, self.ext.base.q, m=self.ext.m)
-
-
-@dataclass(frozen=True, eq=False)
-class HashVector:
-    """n*alpha hash symbols in node-block order, read-only, plus how the
-    projection vector was obtained (needed for honest accounting)."""
-
-    symbols: np.ndarray
-    provenance: str
-    seed_bits: int
-
-    def __post_init__(self):
-        self.symbols.flags.writeable = False
-
 
 def minimal_extension_degree(q: int, N: int) -> int:
     """Smallest m >= 1 with q^m >= (q-1)(N-1)."""
@@ -100,8 +86,7 @@ def minimal_extension_degree(q: int, N: int) -> int:
 def draw_random_vector(N: int, field, rng) -> RandomVector:
     if N < 1:
         raise ValueError("N must be >= 1")
-    return RandomVector(rng.integers(0, field.q, size=N), field, TRUE_RANDOM,
-                        _shared_bits(TRUE_RANDOM, field.q, N=N), clock.tick())
+    return RandomVector(rng.integers(0, field.q, size=N), field, TRUE_RANDOM, clock.tick())
 
 
 def make_prg_seed(field, N: int, rng) -> PrgSeed:
@@ -141,8 +126,7 @@ def prg_expand(seed: PrgSeed, N: int) -> RandomVector:
         out.append(acc)
         if i + 1 < N:
             power = ext.mul(power, seed.x)
-    return RandomVector(np.array(out, dtype=np.int64), base, PSEUDORANDOM,
-                        seed.bits, seed.drawn_at)
+    return RandomVector(np.array(out, dtype=np.int64), base, PSEUDORANDOM, seed.drawn_at)
 
 
 def prg_expand_many(seeds, N: int) -> list[RandomVector]:
@@ -174,8 +158,7 @@ def prg_expand_many(seeds, N: int) -> list[RandomVector]:
     for i in range(1, N):
         powers[:, i] = kern.matmul(powers[:, i - 1, None], times_x)[:, 0]
     out = kern.matmul(powers, y[:, :, None])[:, :, 0]
-    return [RandomVector(row, base, PSEUDORANDOM, s.bits, s.drawn_at)
-            for row, s in zip(out, seeds)]
+    return [RandomVector(row, base, PSEUDORANDOM, s.drawn_at) for row, s in zip(out, seeds)]
 
 
 def draw_challenge(params, kind: str, rng) -> RandomVector | PrgSeed:
@@ -216,17 +199,12 @@ def node_hash(content, r: RandomVector) -> np.ndarray:
 
 
 def seed_bit_count(kind: str, params) -> int:
-    """Shared-randomness cost: Theta(N) bits for the true-random vector,
-    Theta(log N) for the seed."""
-    q, N = params.field.q, params.N
-    return _shared_bits(kind, q, N=N, m=minimal_extension_degree(q, N))
-
-
-def _shared_bits(kind: str, q: int, *, N: int = 0, m: int = 0) -> int:
     """The one pricing of shared randomness over GF(q): a true-random
-    vector shares its N symbols, a seed its two elements of F_{q^m}."""
+    vector shares its N symbols, Theta(N) bits, and a seed its two
+    elements of F_{q^m}, Theta(log N) bits."""
+    q, N = params.field.q, params.N
     if kind == TRUE_RANDOM:
         return N * symbol_bits(q)
     if kind == PSEUDORANDOM:
-        return 2 * m * symbol_bits(q)
+        return 2 * minimal_extension_degree(q, N) * symbol_bits(q)
     raise ValueError(f"unknown randomness kind {kind!r}")

@@ -2,14 +2,18 @@
 
 Collects the per-node hash blocks, decodes the resulting vector against
 the code to flag erroneous nodes, rebuilds node content from honest
-helpers, and accounts for the bits everything costs.  The verifier never
-sees the original data; with at most t1 = (n-k)//2 corrupted nodes it
-flags a subset of the truly erroneous ones, and exactly all of them
-unless some node's every error row is orthogonal to the projection
-vector (the protocol's documented failure event).
+helpers, and prices an audit's bits (accounting, the one pricing, which
+takes the shared randomness's from hashing.seed_bit_count).  The
+verifier never sees the original data; with at most t1 = (n-k)//2
+corrupted nodes it flags a subset of the truly erroneous ones, and
+exactly all of them unless some node's every error row is orthogonal to
+the projection vector (the protocol's documented failure event).
 
-Hash vectors and rebuilt blocks stay the kernel arrays that node_hash
-and code.interpolate return.
+A hash vector is its symbols: the read-only 1-D kernel array of
+n*alpha symbols, in node-block order, that collect_hashes returns and
+verify decodes.  A report is the verdict alone, status and flagged
+nodes; what the audit cost comes from accounting.  Rebuilt blocks stay
+the kernel arrays that code.interpolate returns.
 
 Flags come from code.hash_word_decode, the one rule from decoded group
 words to flagged nodes; the Monte Carlo engine (experiments) calls the
@@ -38,7 +42,7 @@ from .errors import (
     TooFewHelpers,
 )
 from .field import FieldSpec, next_prime_power, symbol_bits
-from .hashing import PSEUDORANDOM, TRUE_RANDOM, HashVector, node_hash, seed_bit_count
+from .hashing import PSEUDORANDOM, TRUE_RANDOM, node_hash, seed_bit_count
 from .matrix import kernel
 from .storage import SystemState
 
@@ -55,9 +59,6 @@ THEOREMS = {"thm1": TRUE_RANDOM, "thm2": PSEUDORANDOM}
 class VerificationReport:
     status: str
     flagged: frozenset[int]
-    hash_bits: int
-    seed_bits: int
-    randomness: str
 
 
 @dataclass(frozen=True)
@@ -80,17 +81,20 @@ def check_commitment(plans, r) -> None:
             )
 
 
-def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
-    """Ask every node for its hash block.
+def collect_hashes(state: SystemState, r, *, liars=None) -> np.ndarray:
+    """Ask every node for its hash block: the hash vector, a read-only
+    1-D kernel array of n*alpha symbols in node-block order.
 
     Corrupted nodes hash their corrupted content; `liars` can override
     single blocks with arbitrary field elements to model nodes that
-    misreport outright.  Every liar symbol must be a field element as
-    given: each block is checked as a one-row matrix by the kernel's
-    asarray (FieldMismatch otherwise).  The state's error plans must pass
-    check_commitment.  One node_hash call hashes the n*alpha stored
-    rows, the node-major content viewed in node-block order; the liars'
-    blocks then replace theirs in its array.
+    misreport outright.  A block that is not alpha symbols (a bare
+    symbol, too few, a matrix) raises ShapeMismatch, and every liar
+    symbol must be a field element as given: each block is checked as a
+    one-row matrix by the kernel's asarray (FieldMismatch otherwise).
+    The state's error plans must pass check_commitment.  One node_hash
+    call hashes the n*alpha stored rows, the node-major content viewed
+    in node-block order; the liars' blocks then replace theirs in its
+    array.
     """
     check_commitment(state.plans, r)
     params = state.params
@@ -98,27 +102,35 @@ def collect_hashes(state: SystemState, r, *, liars=None) -> HashVector:
     liars = dict(liars) if liars else {}
     for i, block in liars.items():
         check_node_id(params, i)
-        if len(block) != a:
+        block = np.array(block, dtype=object)  # exact ints, as verify reads a list
+        if block.shape != (a,):
             raise ShapeMismatch(f"liar block for node {i} must have alpha symbols")
-        liars[i] = kernel(params.field).asarray([block])[0]
+        liars[i] = kernel(params.field).asarray(block[None])[0]
     out = node_hash(state.nodes.reshape(params.n * a, params.N), r)
     for i, block in liars.items():
         out[(i - 1) * a:i * a] = block
-    return HashVector(out, r.provenance, r.seed_bits)
+    out.flags.writeable = False
+    return out
 
 
-def verify(H: HashVector, params: CodeParams, G: GeneratorMatrix) -> VerificationReport:
-    """Decode the hash vector and flag the error positions, by
-    hash_word_decode.  Every symbol must be a field element
-    (FieldMismatch otherwise, from hash_word_decode's check).  G is not
-    consulted: the parity checks come from the cached per-code tables."""
-    (flagged,) = hash_word_decode(params, H.symbols[:, None])
-    hash_bits = params.n * params.alpha * symbol_bits(params.field.q)
+def verify(H, params: CodeParams, G: GeneratorMatrix) -> VerificationReport:
+    """Decode the hash vector H, an array or a list of n*alpha symbols
+    (a list read as exact Python ints), and flag the error positions, by
+    hash_word_decode.  H not 1-D with n*alpha symbols raises
+    ShapeMismatch; every symbol must be a field element (FieldMismatch
+    otherwise, from hash_word_decode's check).  G is not consulted: the
+    parity checks come from the cached per-code tables."""
+    if not isinstance(H, np.ndarray):
+        H = np.array(H, dtype=object)  # exact ints; a ragged list is 1-D
+    size = params.n * params.alpha
+    if H.shape != (size,):
+        raise ShapeMismatch(f"a hash vector must be 1-D with n*alpha = {size} symbols")
+    (flagged,) = hash_word_decode(params, H[:, None])
     if flagged is None:
         status, flagged = STATUS_UNDECODABLE, frozenset()
     else:
         status = STATUS_LOCATED if flagged else STATUS_CLEAN
-    return VerificationReport(status, flagged, hash_bits, H.seed_bits, H.provenance)
+    return VerificationReport(status, flagged)
 
 
 def repair_node(state: SystemState, target: int, helpers) -> np.ndarray:

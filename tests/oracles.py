@@ -191,9 +191,9 @@ def inner(field, u, v):
 
 
 def vector_fields(v):
-    """Every field of a RandomVector or HashVector, which compare by
-    identity, with the symbols as a list of values: two vectors are
-    equal when these are."""
+    """Every field of a RandomVector, which compares by identity, with
+    the symbols as a list of values: two vectors are equal when these
+    are."""
     out = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
     out["symbols"] = v.symbols.tolist()
     return out

@@ -10,6 +10,7 @@ from nxmds.cli import LABEL_PLAN, _rng, main
 from nxmds.code import erasure_decode, make_code
 from nxmds.field import field_from_order
 from nxmds.storage import corrupt, ingest, make_system, sample_error_plan
+from nxmds.verifier import accounting
 
 
 def run(capsys, *argv):
@@ -342,6 +343,27 @@ def test_hash_mode_is_self_describing(tmp_path, capsys):
     assert (out / "rvec.nxm").exists() and not (out / "seed.nxm").exists()
     _, text, _ = run(capsys, "verify", str(out))
     assert report_value(text, "mode") == "true-random"
+
+
+BUDGET_LINES = {"data-bits": "data_bits", "hash-bits": "hash_bits", "naive-bits": "naive_bits",
+                "seed-bits": "seed_bits", "seed-distribution-bits": "seed_distribution_bits"}
+
+
+@pytest.mark.parametrize("kind", ["true-random", "pseudorandom"])
+@pytest.mark.parametrize("q", ["257", "9", "3000000019"])
+def test_printed_bit_counts_are_accountings(tmp_path, capsys, q, kind):
+    # every bit count the commands print is accounting's figure
+    out = pipeline(tmp_path, capsys, q)
+    params, _ = make_code(4, 2, field_from_order(int(q)), 3)
+    budget = accounting(params, kind)
+    assert sorted(BUDGET_LINES.values()) == sorted(f.name for f in dataclasses.fields(budget))
+    _, text, _ = run(capsys, "hash", str(out), "--seed", "3", "--mode", kind)
+    assert report_value(text, "seed-bits") == str(budget.seed_bits)
+    _, text, _ = run(capsys, "verify", str(out))
+    assert report_value(text, "hash-bits") == str(budget.hash_bits)
+    _, text, _ = run(capsys, "audit", str(out), "--seed", "6", "--mode", kind)
+    assert ({line: report_value(text, line) for line in BUDGET_LINES}
+            == {line: str(getattr(budget, name)) for line, name in BUDGET_LINES.items()})
 
 
 def test_pseudorandom_audit_over_32_bit_prime(tmp_path, capsys):

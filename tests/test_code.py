@@ -49,10 +49,10 @@ def test_dot_matches_field_ops(f):
     rng = np.random.default_rng(31)
     for size in range(6):
         u, v = ([int(x) for x in rng.integers(0, f.q, size)] for _ in range(2))
-        r = RandomVector(np.array(v, dtype=np.int64), f, "true-random", 0, 0)
+        r = RandomVector(np.array(v, dtype=np.int64), f, "true-random", 0)
         assert node_hash([u], r).tolist() == [oracles.inner(f, u, v)]
     with pytest.raises(ShapeMismatch):
-        node_hash([[1]], RandomVector(np.array([1, 0]), f, "true-random", 0, 0))
+        node_hash([[1]], RandomVector(np.array([1, 0]), f, "true-random", 0))
 
 
 def test_params_validation():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from nxmds import hashing
 
-from nxmds.code import encode_array, make_code
+from nxmds.code import CodeParams, encode_array, make_code
 from nxmds.errors import ExtensionTooSmall, ShapeMismatch
 from nxmds.field import make_extension, make_field, symbol_bits
 from nxmds.hashing import (
@@ -48,7 +48,7 @@ def test_draw_random_vector_reproducible():
     b = draw_random_vector(3, F5, np.random.default_rng(42))
     assert a.symbols.tolist() == b.symbols.tolist()
     assert a.provenance == "true-random"
-    assert a.seed_bits == 9  # 3 symbols * 3 bits
+    assert seed_bit_count(a.provenance, CodeParams(2, 1, F5, 3)) == 9  # 3 symbols * 3 bits
     assert all(0 <= v < 5 for v in a.symbols)
 
 
@@ -84,7 +84,7 @@ def test_prg_expand_hand_example():
     r = prg_expand(PrgSeed(2, 1, ext), 4)
     assert r.symbols.tolist() == [1, 0, 0, 1]
     assert r.provenance == "pseudorandom"
-    assert r.seed_bits == 6
+    assert seed_bit_count(r.provenance, CodeParams(2, 1, F2, 8)) == 6  # m = 3 at N = 8
 
 
 def test_prg_expand_degenerate_seeds():
@@ -132,17 +132,17 @@ def test_prg_expand_too_small():
 def test_make_prg_seed_sizing():
     rng = np.random.default_rng(1)
     s = make_prg_seed(F2, 9, rng)
-    assert s.m == 3 and s.bits == 6
+    assert s.m == 3 and seed_bit_count("pseudorandom", CodeParams(2, 1, F2, 9)) == 6
     s17 = make_prg_seed(make_field(17), 3, rng)
     assert s17.m == 2  # 16 * 2 = 32 exceeds 17
-    assert s17.bits == 2 * 2 * 5
+    assert seed_bit_count("pseudorandom", CodeParams(4, 2, make_field(17), 3)) == 2 * 2 * 5
     assert 0 <= s17.x < 17 ** 2 and 0 <= s17.y < 17 ** 2
     assert make_prg_seed(make_field(17), 2, rng).m == 1
 
 
 def ones(N):
     """The all-ones projection vector over GF(5)."""
-    return RandomVector(np.ones(N, dtype=np.int64), F5, "true-random", 9, 0)
+    return RandomVector(np.ones(N, dtype=np.int64), F5, "true-random", 0)
 
 
 def test_node_hash_row_sums():
@@ -205,8 +205,6 @@ def test_draw_vector_matches_direct_draws(kind):
 
 
 def test_seed_bit_count():
-    from nxmds.code import CodeParams
-
     p = CodeParams(4, 2, F5, 3)
     assert seed_bit_count("true-random", p) == 9
     p2 = CodeParams(2, 1, F2, 9)
@@ -217,8 +215,6 @@ def test_seed_bit_count():
 
 def test_seed_bits_scaling():
     # true-random cost is linear in N; seed cost logarithmic
-    from nxmds.code import CodeParams
-
     f17 = make_field(17)
     true_bits, prg_bits = [], []
     for e in range(4, 13):

@@ -13,13 +13,13 @@ from nxmds.errors import (
     CorruptHelper,
     DegenerateCode,
     FieldMismatch,
+    ShapeMismatch,
     SingularSystem,
     TooFewHelpers,
 )
 from nxmds.experiments import _block_misses
 from nxmds.field import FieldSpec, make_field
 from nxmds.hashing import (
-    HashVector,
     RandomVector,
     draw_random_vector,
     make_prg_seed,
@@ -36,6 +36,7 @@ from nxmds.storage import (
 from nxmds.matrix import kernel
 from nxmds.verifier import (
     THEOREMS,
+    VerificationReport,
     accounting,
     choose_field,
     collect_hashes,
@@ -60,8 +61,8 @@ def test_collect_hashes_honest_is_codeword():
     r = draw_random_vector(3, F17, rng)
     H = collect_hashes(state, r)
     Xr = [oracles.inner(F17, row, r.symbols.tolist()) for row in state.truth.tolist()]
-    assert H.symbols.tolist() == [oracles.inner(F17, row, Xr) for row in oracles.dense_generator(params)]
-    assert H.provenance == "true-random"
+    assert H.tolist() == [oracles.inner(F17, row, Xr) for row in oracles.dense_generator(params)]
+    assert H.shape == (params.n * params.alpha,) and not H.flags.writeable
 
 
 HASH_FIELDS = {"GF17": F17, "GF9": make_field(3, 2), "GF8": make_field(2, 3),
@@ -85,14 +86,14 @@ def test_collect_hashes_match_field_calls(f):
             got = hashing.node_hash(content, r)
             assert got.dtype == dtype and got.tolist() == want[i * a:(i + 1) * a]
     H = collect_hashes(state, r)
-    assert H.symbols.dtype == dtype and H.symbols.tolist() == want
+    assert H.dtype == dtype and H.tolist() == want
     liar = [f.q - 1] * a
     want[a:2 * a] = liar
     for slices in ([s.tolist() for s in state.nodes],
                    [np.array(s.tolist(), dtype=np.int64) for s in state.nodes]):
         H = collect_hashes(from_slices(params, G, slices), r, liars={2: liar})
-        assert H.symbols.dtype == dtype and H.symbols.tolist() == want
-        assert not H.symbols.flags.writeable
+        assert H.dtype == dtype and H.tolist() == want
+        assert not H.flags.writeable
     # the clean blocks by field calls: the dense generator times the data
     cols = list(zip(*state.truth.tolist()))
     clean = [[oracles.inner(f, row, c) for c in cols] for row in oracles.dense_generator(params)]
@@ -108,22 +109,23 @@ def test_collect_hashes_match_field_calls(f):
 @pytest.mark.parametrize("f", [F17, make_field(3, 2)], ids=["GF17", "GF9"])
 @pytest.mark.parametrize("bad", ["q", -1])
 def test_hand_built_vector_checked_where_consumed(f, bad):
-    # a RandomVector or HashVector built by hand, not drawn, holding a
-    # symbol outside the field: its symbols are made read-only, and
-    # hashing, the engine's block and verify each refuse it with the
-    # kernel's check
+    # a RandomVector built by hand, not drawn, or a hash vector holding
+    # a symbol outside the field: the vector's symbols are made
+    # read-only, and hashing, the engine's block and verify each refuse
+    # it with the kernel's check, the hash vector as an array or a list
     params, G, state, rng = build(f=f)
     symbols = np.array([1, f.q if bad == "q" else bad, 0])
-    r = RandomVector(symbols, f, "true-random", 15, clock.tick())
+    r = RandomVector(symbols, f, "true-random", clock.tick())
     assert not symbols.flags.writeable
     with pytest.raises(FieldMismatch):
         collect_hashes(state, r)
     with pytest.raises(FieldMismatch):
         _block_misses(params, state.nodes, [None], [r])
-    H = collect_hashes(state, draw_random_vector(3, f, rng)).symbols.copy()
+    H = collect_hashes(state, draw_random_vector(3, f, rng)).copy()
     H[5] = symbols[1]
-    with pytest.raises(FieldMismatch):
-        verify(HashVector(H, "true-random", 15), params, G)
+    for hashes in (H, H.tolist()):
+        with pytest.raises(FieldMismatch):
+            verify(hashes, params, G)
 
 
 def test_commitment_enforced():
@@ -143,10 +145,8 @@ def test_verify_clean():
     params, G, state, rng = build()
     r = draw_random_vector(3, F17, rng)
     report = verify(collect_hashes(state, r), params, G)
-    assert report.status == "clean"
-    assert report.flagged == frozenset()
-    assert report.hash_bits == 4 * 2 * 5
-    assert report.randomness == "true-random"
+    assert report == VerificationReport("clean", frozenset())  # the verdict alone
+    assert accounting(params, "true-random").hash_bits == 4 * 2 * 5
 
 
 @pytest.mark.parametrize("kind", ["true-random", "pseudorandom"])
@@ -155,7 +155,7 @@ def test_verify_locates_visible_error(kind):
     plan = sample_error_plan("single-cell", 1, rng, params)
     corrupt(state, plan)
     # all-ones r: any single-cell error has nonzero projection
-    r = RandomVector(np.ones(3, dtype=np.int64), F17, kind, 15, clock.tick())
+    r = RandomVector(np.ones(3, dtype=np.int64), F17, kind, clock.tick())
     report = verify(collect_hashes(state, r), params, G)
     assert report.status == "errors-located"
     assert report.flagged == plan.nodes == true_error_set(state)
@@ -179,7 +179,7 @@ def test_verify_rejects_non_codeword(monkeypatch):
     # construction, never a verdict on the nodes
     params, G, state, rng = build()
     r = draw_random_vector(3, F17, rng)
-    honest = collect_hashes(state, r).symbols.tolist()
+    honest = collect_hashes(state, r).tolist()
     # node 2 misreports every symbol, so every group word needs decoding
     H = collect_hashes(state, r, liars={2: [(v + 1) % 17 for v in honest[2:4]]})
     monkeypatch.setattr(code, "_lockstep_block", lambda params, S: (
@@ -195,7 +195,7 @@ def test_verify_documented_miss():
     target = [1, 3, 5]
     plan = sample_error_plan("null-against-vector", 1, rng, params, target=target)
     corrupt(state, plan)
-    r = RandomVector(np.array(target), F17, "true-random", 15, clock.tick())
+    r = RandomVector(np.array(target), F17, "true-random", clock.tick())
     report = verify(collect_hashes(state, r), params, G)
     assert report.status == "clean"
     assert report.flagged == frozenset()
@@ -229,14 +229,45 @@ def test_liar_block_confined():
 def test_liar_symbols_must_be_field_elements(f):
     params, G, state, rng = build(f=f)
     r = draw_random_vector(3, f, rng)
-    honest = collect_hashes(state, r).symbols[:2].tolist()
+    honest = collect_hashes(state, r)[:2].tolist()
     # out of range but congruent to the honest symbol mod p, negative,
     # huge, and values that int() would coerce into the field
     for bad in (honest[0] + f.q, -5, 10 ** 30, 1.5, "7", np.float64(2.9)):
         with pytest.raises(FieldMismatch):
             collect_hashes(state, r, liars={1: (bad, honest[1])})
-    assert (oracles.vector_fields(collect_hashes(state, r, liars={1: honest}))
-            == oracles.vector_fields(collect_hashes(state, r)))
+    same = collect_hashes(state, r, liars={1: honest})
+    assert same.dtype == kernel(f).dtype and same.tolist() == collect_hashes(state, r).tolist()
+
+
+@pytest.mark.parametrize("block", [5, [7], [[7, 9], [9, 7]]], ids=["int", "short", "2 x alpha"])
+def test_liar_block_must_be_alpha_symbols(block):
+    params, G, state, rng = build()
+    r = draw_random_vector(3, F17, rng)
+    with pytest.raises(ShapeMismatch, match="^liar block for node 1 must have alpha symbols$"):
+        collect_hashes(state, r, liars={1: block})
+
+
+def test_verify_checks_the_hash_vector_shape():
+    params, G, state, rng = build()
+    H = collect_hashes(state, draw_random_vector(3, F17, rng))
+    message = "^a hash vector must be 1-D with n\\*alpha = 8 symbols$"
+    for bad in (H[:, None], H.reshape(4, 2), H[:7], H.tolist() + [0], [H.tolist()], 3):
+        with pytest.raises(ShapeMismatch, match=message):
+            verify(bad, params, G)
+    assert verify(H.tolist(), params, G) == verify(H, params, G)
+
+
+def test_verify_reads_a_list_as_exact_ints():
+    # a symbol past 2^63 in a list stays an int, refused as such; read
+    # as a float it would round to some other number
+    params, G, state, rng = build(f=make_field(3_000_000_019))
+    H = collect_hashes(state, draw_random_vector(3, params.field, rng)).tolist()
+    for big in (2 ** 63 + 1, 2 ** 64 + 3_000_000_019):
+        H[3] = big
+        with pytest.raises(FieldMismatch, match=f"^{big} is not an element"):
+            verify(H, params, G)
+    with pytest.raises(FieldMismatch, match="^1.0 is not an element"):
+        verify([1.0] * 8, params, G)
 
 
 @pytest.mark.parametrize("position", [0, 6])
@@ -244,11 +275,10 @@ def test_verify_rejects_symbols_outside_the_field(position):
     # symbol 0 sits in a group's first k positions, symbol 6 (node 4) does
     # not; both must be rejected, not read mod p or flagged
     params, G, state, rng = build()
-    H = collect_hashes(state, draw_random_vector(3, F17, rng))
-    symbols = H.symbols.copy()
+    symbols = collect_hashes(state, draw_random_vector(3, F17, rng)).copy()
     symbols[position] += F17.q
     with pytest.raises(FieldMismatch):
-        verify(HashVector(symbols, H.provenance, H.seed_bits), params, G)
+        verify(symbols, params, G)
 
 
 @pytest.mark.parametrize("model", ["random-dense", "rank-1"])
@@ -283,8 +313,8 @@ def test_prg_vector_end_to_end():
     corrupt(state, plan)
     r = prg_expand(make_prg_seed(F17, 3, rng), 3)
     report = verify(collect_hashes(state, r), params, G)
-    assert report.randomness == "pseudorandom"
-    assert report.seed_bits == r.seed_bits
+    assert r.provenance == "pseudorandom"
+    assert accounting(params, r.provenance).seed_bits == 2 * 2 * 5  # m = 2 over GF(17)
     assert report.flagged <= plan.nodes
 
 
