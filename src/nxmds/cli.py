@@ -47,6 +47,7 @@ from .verifier import (
     choose_field,
     collect_hashes,
     failure_bound,
+    naive_fetch_bits,
     repair_node,
     verify,
 )
@@ -383,7 +384,7 @@ def cmd_params(args) -> int:
         ("s", spec.s),
         ("N", N),
         ("hash-bits", budget.hash_bits),
-        ("naive-bits", -(-args.n * args.M // args.k)),
+        ("naive-bits", naive_fetch_bits(args.n, args.k, args.M)),
         ("seed-bits", budget.seed_bits),
         ("failure-bound", bound),
         ("meets-1-over-M", "yes" if bound <= Fraction(1, args.M) else "no"),

@@ -193,7 +193,7 @@ def interpolate(params: CodeParams, nodes, targets) -> np.ndarray:
     return cw[:, :len(targets)].transpose(1, 0, 2)
 
 
-def erasure_decode(params: CodeParams, G: GeneratorMatrix, nodes) -> np.ndarray:
+def erasure_decode(params: CodeParams, nodes) -> np.ndarray:
     """Recover X, a k*alpha x N kernel array, from >= k node contents
     {node id: alpha x N matrix}.
 

@@ -10,35 +10,37 @@ Three kinds of evidence, kept deliberately separate:
     master seed regardless of execution order;
   * instrumented operation counting for the generator's cost growth.
 
-mc_failure_rate is a block engine.  Trial i draws from its own rng,
+mc_failure_rate is a block engine that hashes the projected errors
+alone.  Hashing is linear, so node i's hash is C_i r + E_i r, and the
+clean part C r is a codeword, whose syndromes are zero: the decoder's
+syndromes, the error patterns it finds and its codeword check are the
+same without it, so an audit's flags do not depend on the stored data
+and the engine draws none.  Trial i draws from its own rng,
 SeedSequence(master, spawn_key=(1, i)): the committed error plan first
 (storage.draw_plan), then the challenge (a true-random vector or a
 generator seed).  Trials run in blocks of _BLOCK.  A block's plans are
 built in one call (storage.build_plans: one kernel product makes every
-rank-1 error matrix, and one rank check covers them), its seeds expand
-in one call, and because hashing is linear, node i's hash
-(C_i + E_i) r = C_i r + E_i r: the clean hash vectors of the whole block
-are one product C R^T, n x alpha x B with C the node-major encoding and
-R the block's vectors stacked, and each planned node adds its E_i r to
-its block at its audit's column.  These are arrays of the field's kernel
-(matrix.kernel), for every field.  C is encoded once per call by
-code.encode_array, straight from the data array the rng returns
-(storage.random_data); R and the block's error rows (storage.error_rows:
-each plan's t x alpha x N rows, as drawn or built, concatenated) are
+rank-1 error matrix, and one rank check covers them), and its seeds
+expand in one call.  The block's hash vectors are a zero n x alpha x B
+array of the field's kernel (matrix.kernel), for every field, with each
+planned node's E_i r written at its audit's column.  R (the block's
+vectors stacked) and the block's error rows (storage.error_rows: each
+plan's t x alpha x N rows, as drawn or built, concatenated) are
 converted once each, with the kernel's element check, and all the
-block's E_i r come from one stacked product.  The block's hash vectors,
-viewed as n*alpha rows in node-block order, then go to
-code.hash_word_decode, the same rule from decoded group words to flagged
-nodes that verify applies to one vector: it checks every symbol, one
-syndrome product screens the group words, only words with a nonzero
-syndrome reach the lockstep decoder, and every corrected word must be a
-codeword (SingularSystem).  Each plan must predate its vector
-(verifier.check_commitment).  An audit misses when a planned node is not
-flagged; an undecodable audit flags nothing.
+block's E_i r come from one stacked product.  The hash vectors, viewed
+as n*alpha rows in node-block order, then go to code.hash_word_decode,
+the same rule from decoded group words to flagged nodes that verify
+applies to one vector: it checks every symbol, one syndrome product
+screens the group words, only words with a nonzero syndrome reach the
+lockstep decoder, and every corrected word must be a codeword
+(SingularSystem).  Each plan must predate its vector
+(verifier.check_commitment).  An audit misses when a planned node is
+not flagged; an undecodable audit flags nothing.
 
 run_trial is the one-audit path through real storage (restore, corrupt,
 hash every node, verify).  It shares hash_word_decode with the engine,
-so comparing the two checks hashing and sampling, not the flag rule;
+so comparing the two checks hashing, sampling and the engine's
+dropping of the data, not the flag rule;
 the independent ground truth for flags is the exhaustive decoder
 tests/oracles.min_distance_decode, and perfbench's recount from the
 projected error rows.
@@ -54,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .code import CodeParams, encode_array, hash_word_decode
+from .code import CodeParams, hash_word_decode
 from .errors import TooLargeToEnumerate
 from .field import ExtensionField, field_from_order, make_extension
 from .hashing import (
@@ -72,7 +74,6 @@ from .storage import (
     corrupt,
     draw_plan,
     error_rows,
-    random_data,
     sample_error_plan,
     true_error_set,
 )
@@ -80,8 +81,7 @@ from .verifier import check_commitment, collect_hashes, failure_bound, verify
 
 ENUM_LIMIT = 10 ** 7
 
-# spawn-key labels carving independent streams out of one master seed
-_LABEL_DATA = 0
+# spawn-key label of the trials' streams: trial i draws from (1, i)
 _LABEL_TRIAL = 1
 
 # trials per block of mc_failure_rate: the most plans and vectors it holds
@@ -144,20 +144,16 @@ def theoretical_bound(params: CodeParams, kind: str) -> float:
 def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
                     trials: int, master_seed: int, *,
                     f: int | None = None, target=None) -> RateEstimate:
-    """Monte Carlo miss-rate estimate over independent audits.
-
-    The data matrix is drawn and encoded once per run; each trial gets
-    its own rng split off the master seed by trial index, so results do
-    not depend on execution order or on the block size.
+    """Monte Carlo miss-rate estimate over independent audits of the
+    projected errors alone: no data is drawn, since a clean hash vector
+    is a codeword, which decoding cannot see.  Each trial gets its own
+    rng split off the master seed by trial index, so results do not
+    depend on execution order or on the block size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= t <= params.t1:
         raise ValueError(f"t={t} outside 0..t1={params.t1}")
-    data_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_DATA,))
-    )
-    C = encode_array(params, random_data(params, data_rng))
     failures = 0
     for start in range(0, trials, _BLOCK):
         draws, drawn = [], []
@@ -169,15 +165,14 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
                 draws.append(draw_plan(model, t, rng, params, f=f, target=target))
             drawn.append(draw_challenge(params, kind, rng))
         plans = build_plans(params, draws) if t else [None] * len(drawn)
-        failures += _block_misses(params, C, plans, expand_challenges(drawn, params.N))
+        failures += _block_misses(params, plans, expand_challenges(drawn, params.N))
     return RateEstimate(trials, failures, theoretical_bound(params, kind))
 
 
-def _block_misses(params: CodeParams, C, plans, vectors) -> int:
+def _block_misses(params: CodeParams, plans, vectors) -> int:
     """Missed audits in a block: audit b commits plans[b] (None when
-    t = 0) and is hashed on vectors[b].  C is the node-major kernel
-    array of the encoded data; the block's hash vectors are built in
-    kernel arrays."""
+    t = 0) and is hashed on vectors[b].  The block's hash vectors are
+    those of the projected errors alone, built in kernel arrays."""
     kern = kernel(params.field)
     planned = [(b, plan) for b, plan in enumerate(plans) if plan is not None]
     idx, audits = [], []  # per planned node: its index and its audit
@@ -185,14 +180,13 @@ def _block_misses(params: CodeParams, C, plans, vectors) -> int:
         check_commitment([plan], vectors[b])
         idx += [i - 1 for i in plan.ids]
         audits += [b] * len(plan.ids)
-    # H[:, :, b] is audit b's hash vector, node-major: first the clean
-    # C r, then E_i r added to the block of every planned node
+    # H[:, :, b] is audit b's hash vector, node-major: E_i r in the block
+    # of every planned node (a plan's ids are distinct), zero elsewhere
     R = kern.asarray(np.stack([r.symbols for r in vectors]))
-    H = kern.matmul(C, R.T)
+    H = np.zeros((params.n, params.alpha, len(vectors)), dtype=kern.dtype)
     if idx:
         E = error_rows(params, [plan for _, plan in planned])
-        H[idx, :, audits] = kern.add(H[idx, :, audits],
-                                     kern.matmul(E, R[audits][:, :, None])[:, :, 0])
+        H[idx, :, audits] = kern.matmul(E, R[audits][:, :, None])[:, :, 0]
     words = H.reshape(params.n * params.alpha, len(vectors))
     return sum(plan is not None and not plan.nodes <= (flagged or set())
                for plan, flagged in zip(plans, hash_word_decode(params, words)))

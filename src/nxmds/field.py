@@ -440,8 +440,3 @@ def iter_elements(field):
     for _ in range(field.q - 1):
         yield x
         x = field.mul(x, g)
-
-
-def element_enumeration(field) -> list[int]:
-    """All q elements in the canonical order of iter_elements."""
-    return list(iter_elements(field))

@@ -3,11 +3,12 @@
 Collects the per-node hash blocks, decodes the resulting vector against
 the code to flag erroneous nodes, rebuilds node content from honest
 helpers, and prices an audit's bits (accounting, the one pricing, which
-takes the shared randomness's from hashing.seed_bit_count).  The
-verifier never sees the original data; with at most t1 = (n-k)//2
-corrupted nodes it flags a subset of the truly erroneous ones, and
-exactly all of them unless some node's every error row is orthogonal to
-the projection vector (the protocol's documented failure event).
+takes the shared randomness's from hashing.seed_bit_count and the naive
+fetch's from naive_fetch_bits).  The verifier never sees the original
+data; with at most t1 = (n-k)//2 corrupted nodes it flags a subset of
+the truly erroneous ones, and exactly all of them unless some node's
+every error row is orthogonal to the projection vector (the protocol's
+documented failure event).
 
 A hash vector is its symbols: the read-only 1-D kernel array of
 n*alpha symbols, in node-block order, that collect_hashes returns and
@@ -161,7 +162,7 @@ def accounting(params: CodeParams, kind: str = TRUE_RANDOM) -> AuditBudget:
 
     Whole-bit symbol widths throughout: M = k*alpha*N*ceil(log2 q) bits
     of stored data, n*alpha*ceil(log2 q) hash bits (independent of N),
-    ceil(n/k * M) bits for the naive fetch-everything baseline, and the
+    naive_fetch_bits for the fetch-everything baseline, and the
     shared-randomness cost per kind, broadcast to all n nodes.
     """
     b = symbol_bits(params.field.q)
@@ -171,10 +172,16 @@ def accounting(params: CodeParams, kind: str = TRUE_RANDOM) -> AuditBudget:
     return AuditBudget(
         data_bits=M,
         hash_bits=params.n * a * b,
-        naive_bits=-(-params.n * M // params.k),
+        naive_bits=naive_fetch_bits(params.n, params.k, M),
         seed_bits=seed,
         seed_distribution_bits=params.n * seed,
     )
+
+
+def naive_fetch_bits(n: int, k: int, data_bits: int) -> int:
+    """Bits of the naive baseline that fetches all n nodes' content,
+    ceil(n/k * M) for M data bits: every node stores M/k of them."""
+    return -(-n * data_bits // k)
 
 
 def failure_bound(n: int, k: int, q: int, kind: str) -> Fraction:

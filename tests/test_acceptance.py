@@ -82,7 +82,7 @@ def test_criterion_01_mds_roundtrip():
                 state = make_system(params, G, X)
                 for subset in itertools.combinations(range(1, n + 1), k):
                     nodes = {i: state.content(i) for i in subset}
-                    assert erasure_decode(params, G, nodes).tolist() == X
+                    assert erasure_decode(params, nodes).tolist() == X
 
 
 def test_criterion_02_soundness():

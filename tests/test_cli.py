@@ -10,7 +10,7 @@ from nxmds.cli import LABEL_PLAN, _rng, main
 from nxmds.code import erasure_decode, make_code
 from nxmds.field import field_from_order
 from nxmds.storage import corrupt, ingest, make_system, sample_error_plan
-from nxmds.verifier import accounting
+from nxmds.verifier import THEOREMS, accounting, naive_fetch_bits
 
 
 def run(capsys, *argv):
@@ -57,7 +57,7 @@ def test_encode_ingests_file(tmp_path, capsys):
     nodes = {
         i: container.read_matrix(out / f"node_{i}.nxm")[1] for i in (2, 4)
     }
-    assert erasure_decode(params, G, nodes).tolist() == X
+    assert erasure_decode(params, nodes).tolist() == X
 
 
 def test_encode_rejects_oversized_data(tmp_path, capsys):
@@ -364,6 +364,10 @@ def test_printed_bit_counts_are_accountings(tmp_path, capsys, q, kind):
     _, text, _ = run(capsys, "audit", str(out), "--seed", "6", "--mode", kind)
     assert ({line: report_value(text, line) for line in BUDGET_LINES}
             == {line: str(getattr(budget, name)) for line, name in BUDGET_LINES.items()})
+    # params prices the naive fetch from M itself; 8 does not divide M
+    mode = next(mode for mode, k in THEOREMS.items() if k == kind)
+    _, text, _ = run(capsys, "params", "--M", "1000001", "--n", "10", "--k", "8", "--mode", mode)
+    assert report_value(text, "naive-bits") == str(naive_fetch_bits(10, 8, 1000001)) == "1250002"
 
 
 def test_pseudorandom_audit_over_32_bit_prime(tmp_path, capsys):

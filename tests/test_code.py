@@ -207,7 +207,7 @@ def test_erasure_decode_every_subset(n, k, f):
     X = random_matrix(rng, k * params.alpha, 3, f.q)
     slices = node_slices(params, encode_rows(params, X))
     for subset in itertools.combinations(range(1, n + 1), k):
-        got = erasure_decode(params, G, {i: slices[i] for i in subset})
+        got = erasure_decode(params, {i: slices[i] for i in subset})
         assert got.tolist() == X
 
 
@@ -216,23 +216,23 @@ def test_erasure_decode_overdetermined_consistency():
     params, G = make_code(4, 2, F5, 3)
     X = random_matrix(rng, 4, 3, 5)
     slices = node_slices(params, encode_rows(params, X))
-    assert erasure_decode(params, G, slices).tolist() == X
+    assert erasure_decode(params, slices).tolist() == X
     # corrupt a non-anchor node: the cross-check must trip
     bad = {i: [list(r) for r in s] for i, s in slices.items()}
     bad[4][0][1] = (bad[4][0][1] + 1) % 5
     with pytest.raises(SingularSystem):
-        erasure_decode(params, G, bad)
+        erasure_decode(params, bad)
 
 
 def test_erasure_decode_errors():
     params, G = make_code(4, 2, F5, 3)
     content = [[0] * 3, [0] * 3]
     with pytest.raises(TooFewNodes):
-        erasure_decode(params, G, {1: content})
+        erasure_decode(params, {1: content})
     with pytest.raises(BadNodeId):
-        erasure_decode(params, G, {0: content, 2: content})
+        erasure_decode(params, {0: content, 2: content})
     with pytest.raises(ShapeMismatch):
-        erasure_decode(params, G, {1: content, 2: [[0] * 3]})
+        erasure_decode(params, {1: content, 2: [[0] * 3]})
 
 
 @pytest.mark.parametrize("f", [F7, make_field(3, 2)], ids=["GF7", "GF9"])
@@ -250,7 +250,7 @@ def test_interpolate_every_helper_subset(f):
         for subset in itertools.combinations(range(1, n + 1), size):
             for given in ({i: state.content(i) for i in subset}, {i: blocks[i] for i in subset}):
                 assert code.interpolate(params, given, range(1, n + 1)).tolist() == list(blocks.values())
-                assert erasure_decode(params, G, given).tolist() == X
+                assert erasure_decode(params, given).tolist() == X
             for target in set(blocks) - set(subset):
                 assert repair_node(state, target, subset).tolist() == blocks[target]
             if size > k:

@@ -7,10 +7,10 @@ import oracles
 from nxmds.errors import FieldMismatch, NonPrimeCharacteristic
 from nxmds.field import (
     ExtensionField,
-    element_enumeration,
     field_from_order,
     is_irreducible,
     is_prime,
+    iter_elements,
     lowest_irreducible,
     make_extension,
     make_field,
@@ -219,7 +219,7 @@ def test_generator_examples():
 def test_element_enumeration():
     for q in [2, 5, 8, 9]:
         f = field_from_order(q)
-        order = element_enumeration(f)
+        order = list(iter_elements(f))
         assert order[0] == 0
         assert order[1] == 1
         assert sorted(order) == list(range(q))

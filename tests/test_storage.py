@@ -528,8 +528,8 @@ plan = storage.sample_error_plan("rank-1", 2, np.random.default_rng(0), CodePara
 out["checked"] = [checked[:], sorted(plan.nodes)]
 # the engine: one check per block (64 trials) over every planned node
 blocks, block_misses = [], experiments._block_misses
-experiments._block_misses = lambda params, C, plans, vectors: (
-    blocks.append([i for p in plans for i in p.ids]) or block_misses(params, C, plans, vectors))
+experiments._block_misses = lambda params, plans, vectors: (
+    blocks.append([i for p in plans for i in p.ids]) or block_misses(params, plans, vectors))
 checked.clear()
 experiments.mc_failure_rate(CodeParams(6, 2, make_field(7), 3), "rank-1", 2, "true-random", 70, 1)
 out["engine"] = [checked, blocks]

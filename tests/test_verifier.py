@@ -120,7 +120,7 @@ def test_hand_built_vector_checked_where_consumed(f, bad):
     with pytest.raises(FieldMismatch):
         collect_hashes(state, r)
     with pytest.raises(FieldMismatch):
-        _block_misses(params, state.nodes, [None], [r])
+        _block_misses(params, [None], [r])
     H = collect_hashes(state, draw_random_vector(3, f, rng)).copy()
     H[5] = symbols[1]
     for hashes in (H, H.tolist()):

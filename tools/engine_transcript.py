@@ -13,6 +13,14 @@ that sampled them.  Two runs of the same code print the same bytes;
 diffing the transcripts of two commits shows any change in what the
 engine counts or the sampler draws.  It complements cli_transcript.py,
 which covers the command line.
+
+The reference transcript's sha256, which a change that keeps the
+engine and the sampler byte for byte must reproduce, is
+
+    python3 tools/engine_transcript.py | sha256sum
+    3354b434bb7ecb6b37d17730defa41eacc8b0266acc47d77bcbd9e5380f1ecce
+
+It is a manual check: no test runs this script.
 """
 
 from __future__ import annotations
