@@ -15,7 +15,10 @@ alone.  Hashing is linear, so node i's hash is C_i r + E_i r, and the
 clean part C r is a codeword, whose syndromes are zero: the decoder's
 syndromes, the error patterns it finds and its codeword check are the
 same without it, so an audit's flags do not depend on the stored data
-and the engine draws none.  Trial i draws from its own rng,
+and the engine draws none.  An audit misses only when some corrupted
+node goes unflagged, so at t = 0 none can miss: the engine answers
+0 failures with the bound and draws, builds and decodes nothing.
+For t >= 1, trial i draws from its own rng,
 SeedSequence(master, spawn_key=(1, i)): the committed error plan first
 (storage.draw_plan), then the challenge (a true-random vector or a
 generator seed).  Trials run in blocks of _BLOCK.  A block's plans are
@@ -148,12 +151,17 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
     projected errors alone: no data is drawn, since a clean hash vector
     is a codeword, which decoding cannot see.  Each trial gets its own
     rng split off the master seed by trial index, so results do not
-    depend on execution order or on the block size.
+    depend on execution order or on the block size.  With t = 0 no
+    node is corrupted and no audit can miss, so the answer is 0
+    failures and the bound, with no rng built; of the model, the kind
+    and their options, only the kind is checked (by the bound).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= t <= params.t1:
         raise ValueError(f"t={t} outside 0..t1={params.t1}")
+    if t == 0:
+        return RateEstimate(trials, 0, theoretical_bound(params, kind))
     failures = 0
     for start in range(0, trials, _BLOCK):
         draws, drawn = [], []
@@ -161,34 +169,31 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_TRIAL, i))
             )
-            if t:
-                draws.append(draw_plan(model, t, rng, params, f=f, target=target))
+            draws.append(draw_plan(model, t, rng, params, f=f, target=target))
             drawn.append(draw_challenge(params, kind, rng))
-        plans = build_plans(params, draws) if t else [None] * len(drawn)
+        plans = build_plans(params, draws)
         failures += _block_misses(params, plans, expand_challenges(drawn, params.N))
     return RateEstimate(trials, failures, theoretical_bound(params, kind))
 
 
 def _block_misses(params: CodeParams, plans, vectors) -> int:
-    """Missed audits in a block: audit b commits plans[b] (None when
-    t = 0) and is hashed on vectors[b].  The block's hash vectors are
-    those of the projected errors alone, built in kernel arrays."""
+    """Missed audits in a block: audit b commits plans[b], which must
+    predate vectors[b], and is hashed on vectors[b].  The block's hash
+    vectors are those of the projected errors alone, built in kernel
+    arrays."""
     kern = kernel(params.field)
-    planned = [(b, plan) for b, plan in enumerate(plans) if plan is not None]
-    idx, audits = [], []  # per planned node: its index and its audit
-    for b, plan in planned:
-        check_commitment([plan], vectors[b])
-        idx += [i - 1 for i in plan.ids]
-        audits += [b] * len(plan.ids)
+    for plan, r in zip(plans, vectors):
+        check_commitment([plan], r)
+    idx = [i - 1 for plan in plans for i in plan.ids]  # per planned node
+    audits = [b for b, plan in enumerate(plans) for _ in plan.ids]  # its audit
     # H[:, :, b] is audit b's hash vector, node-major: E_i r in the block
     # of every planned node (a plan's ids are distinct), zero elsewhere
     R = kern.asarray(np.stack([r.symbols for r in vectors]))
     H = np.zeros((params.n, params.alpha, len(vectors)), dtype=kern.dtype)
-    if idx:
-        E = error_rows(params, [plan for _, plan in planned])
-        H[idx, :, audits] = kern.matmul(E, R[audits][:, :, None])[:, :, 0]
+    E = error_rows(params, plans)
+    H[idx, :, audits] = kern.matmul(E, R[audits][:, :, None])[:, :, 0]
     words = H.reshape(params.n * params.alpha, len(vectors))
-    return sum(plan is not None and not plan.nodes <= (flagged or set())
+    return sum(not plan.nodes <= (flagged or set())
                for plan, flagged in zip(plans, hash_word_decode(params, words)))
 
 

@@ -116,12 +116,6 @@ class PrimeField:
             raise ValueError("negative exponent")
         return pow(self.check(a), e, self.p)
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        return (self.check(a),)
-
-    def elements(self) -> range:
-        return range(self.p)
-
     @property
     def generator(self) -> int:
         """Smallest element (by encoding) generating the multiplicative group."""
@@ -178,13 +172,6 @@ class ExtensionField:
         The map is base-field-linear and bijective onto base^m.
         """
         return _digits(self.check(a), self.base.q, self.m)
-
-    def from_coords(self, v) -> int:
-        if len(v) != self.m:
-            raise FieldMismatch(f"need {self.m} coordinates, got {len(v)}")
-        for d in v:
-            self.base.check(d)
-        return self._undigits(v)
 
     def _undigits(self, ds) -> int:
         b = self.base.q
@@ -249,16 +236,6 @@ class ExtensionField:
             if e:
                 base = self.mul(base, base)
         return out
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector over the prime field GF(p), length s."""
-        out = []
-        for d in self.coords(a):
-            out.extend(self.base.coeffs(d))
-        return tuple(out)
-
-    def elements(self) -> range:
-        return range(self.q)
 
     @property
     def generator(self) -> int:

@@ -27,17 +27,18 @@ rank-f or null-against-vector matrix is final at draw time: a rank-f E
 is the product of the drawn coefficients and bases (one matmul of the
 field's array kernel, matrix.kernel), redrawn until row_rank, which
 takes the drawn arrays as they are, gives f.  A rank-1 draw keeps its
-coefficients and base row.  build_plans turns a list of draws into
-plans at once: every rank-1 E of the list is one kernel product,
-coefficients times base rows, stored back as int64, and one
+base row and coefficients, each a uniform draw redrawn while zero
+(_nonzero_row, as every random-dense row).  build_plans turns a list
+of draws into plans at once: every rank-1 E of the list is one kernel
+product, coefficients times base rows, stored back as int64, and one
 _check_rank_one, an O(t alpha N) test of every 2 x 2 minor through
 each matrix's first nonzero entry that runs under python -O too,
 covers them all.  sample_error_plan is build_plans of one draw; the
-Monte Carlo engine draws a block's plans trial by trial and builds
-them together.  A plan keeps its t x alpha x N array as its one form of
-E (rows, read-only), which error_rows hands to apply_plan and the Monte
-Carlo engine.  Bytes are packed into symbols and back in one bit pass
-(ingest, extract).
+Monte Carlo engine, which samples no plan at t = 0, draws a block's
+plans trial by trial and builds them together.  A plan keeps its
+t x alpha x N array as its one form of E (rows, read-only), which
+error_rows hands to apply_plan and the Monte Carlo engine.  Bytes are
+packed into symbols and back in one bit pass (ingest, extract).
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ class ErrorPlan:
 
 
 class SystemState:
-    """Stored content of all n nodes, plus oracle-only extras: the clean
-    encoding and the data (truth) it came from.
+    """Stored content of all n nodes, plus the oracle-only clean
+    encoding.
 
     `nodes` and `_clean` are node-major n x alpha x N kernel arrays;
     public node ids are 1-based, so node i's block is nodes[i-1].
@@ -117,12 +118,11 @@ class SystemState:
     """
 
     def __init__(self, params: CodeParams, G: GeneratorMatrix, nodes,
-                 clean=None, truth=None, plans=None):
+                 clean=None, plans=None):
         self.params = params
         self.G = G
         self.nodes = nodes
         self._clean = clean
-        self.truth = truth
         self.plans = list(plans) if plans else []
 
     def content(self, i: int):
@@ -138,9 +138,9 @@ class SystemState:
 
 def make_system(params: CodeParams, G: GeneratorMatrix, X) -> SystemState:
     """State of an honest system storing the data X (a list of rows or
-    an array), encoded by code.encode_array."""
+    an array), encoded by code.encode_array; X itself is not kept."""
     C = encode_array(params, X)
-    return SystemState(params, G, C.copy(), clean=C, truth=np.array(X, dtype=C.dtype))
+    return SystemState(params, G, C.copy(), clean=C)
 
 
 def from_slices(params: CodeParams, G: GeneratorMatrix, slices) -> SystemState:
@@ -351,10 +351,7 @@ def draw_plan(model: str, t: int, rng, params: CodeParams, *,
             E[:] = [_nonzero_row(rng, q, N) for _ in range(a)]
         elif model == "rank-1":
             lines[j] = _nonzero_row(rng, q, N)
-            while True:
-                scales[j] = rng.integers(0, q, size=a)
-                if np.count_nonzero(scales[j]):
-                    break
+            scales[j] = _nonzero_row(rng, q, a)
         elif model == "rank-f":
             while True:
                 bases = np.array([_nonzero_row(rng, q, N) for _ in range(f)])

@@ -52,6 +52,23 @@ def test_mc_no_errors_rate_zero():
     assert est.failures == 0 and est.estimate == 0.0
 
 
+@pytest.mark.parametrize("kind", ["true-random", "pseudorandom"])
+def test_mc_t_zero_is_answered_by_the_bound(monkeypatch, kind):
+    # no node is corrupted, so no audit can miss: the engine draws no
+    # plan or challenge, builds nothing and decodes nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("called at t = 0")
+
+    for name in ("draw_plan", "draw_challenge", "build_plans", "hash_word_decode"):
+        monkeypatch.setattr(experiments, name, refuse)
+    params = CodeParams(4, 2, make_field(257), 8)
+    for trials in (1, 64, 200):
+        est = mc_failure_rate(params, "rank-1", 0, kind, trials, 3)
+        assert est == experiments.RateEstimate(trials, 0, theoretical_bound(params, kind))
+    with pytest.raises(ValueError, match="'quantum'"):
+        mc_failure_rate(params, "rank-1", 0, "quantum", 10, 0)
+
+
 def test_mc_reproducible():
     params = CodeParams(4, 2, F5, 2)
     a = mc_failure_rate(params, "rank-1", 1, "true-random", 400, 99)

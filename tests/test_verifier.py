@@ -48,19 +48,24 @@ from nxmds.verifier import (
 F17 = make_field(17)
 
 
-def build(n=4, k=2, f=F17, N=3, seed=0):
+def build_with_data(n=4, k=2, f=F17, N=3, seed=0):
+    """build, and the data X the state stores."""
     params, G = make_code(n, k, f, N)
     rng = np.random.default_rng(seed)
     X = [[int(v) for v in row]
          for row in rng.integers(0, f.q, size=(k * params.alpha, N))]
-    return params, G, make_system(params, G, X), rng
+    return params, G, make_system(params, G, X), rng, X
+
+
+def build(n=4, k=2, f=F17, N=3, seed=0):
+    return build_with_data(n, k, f, N, seed)[:4]
 
 
 def test_collect_hashes_honest_is_codeword():
-    params, G, state, rng = build()
+    params, G, state, rng, X = build_with_data()
     r = draw_random_vector(3, F17, rng)
     H = collect_hashes(state, r)
-    Xr = [oracles.inner(F17, row, r.symbols.tolist()) for row in state.truth.tolist()]
+    Xr = [oracles.inner(F17, row, r.symbols.tolist()) for row in X]
     assert H.tolist() == [oracles.inner(F17, row, Xr) for row in oracles.dense_generator(params)]
     assert H.shape == (params.n * params.alpha,) and not H.flags.writeable
 
@@ -75,7 +80,7 @@ def test_collect_hashes_match_field_calls(f):
     # content hashes alike as the state's arrays, as the int64 arrays the
     # container reads and as lists, and a liar's block replaces its own.
     # Hashes and rebuilt blocks are arrays of the kernel's dtype.
-    params, G, state, rng = build(5, 2, f, N=4, seed=f.q % 1000)
+    params, G, state, rng, X = build_with_data(5, 2, f, N=4, seed=f.q % 1000)
     plan = sample_error_plan("random-dense", 1, rng, params)
     corrupt(state, plan)
     r = draw_random_vector(4, f, rng)
@@ -95,7 +100,7 @@ def test_collect_hashes_match_field_calls(f):
         assert H.dtype == dtype and H.tolist() == want
         assert not H.flags.writeable
     # the clean blocks by field calls: the dense generator times the data
-    cols = list(zip(*state.truth.tolist()))
+    cols = list(zip(*X))
     clean = [[oracles.inner(f, row, c) for c in cols] for row in oracles.dense_generator(params)]
     (bad,) = plan.nodes
     helpers = [i for i in range(1, params.n + 1) if i != bad]
@@ -114,13 +119,14 @@ def test_hand_built_vector_checked_where_consumed(f, bad):
     # read-only, and hashing, the engine's block and verify each refuse
     # it with the kernel's check, the hash vector as an array or a list
     params, G, state, rng = build(f=f)
+    plan = sample_error_plan("single-cell", 1, rng, params)
     symbols = np.array([1, f.q if bad == "q" else bad, 0])
     r = RandomVector(symbols, f, "true-random", clock.tick())
     assert not symbols.flags.writeable
     with pytest.raises(FieldMismatch):
         collect_hashes(state, r)
     with pytest.raises(FieldMismatch):
-        _block_misses(params, [None], [r])
+        _block_misses(params, [plan], [r])
     H = collect_hashes(state, draw_random_vector(3, f, rng)).copy()
     H[5] = symbols[1]
     for hashes in (H, H.tolist()):

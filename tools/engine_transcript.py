@@ -20,7 +20,9 @@ engine and the sampler byte for byte must reproduce, is
     python3 tools/engine_transcript.py | sha256sum
     3354b434bb7ecb6b37d17730defa41eacc8b0266acc47d77bcbd9e5380f1ecce
 
-It is a manual check: no test runs this script.
+tests/test_transcripts.py pins the transcript of the prime-field shapes
+alone (SHAPES without GF(9) and GF(8), about 4 s) in tier-1; the whole
+transcript, about a minute, is checked by running this script.
 """
 
 from __future__ import annotations
