@@ -17,20 +17,23 @@ syndromes, the error patterns it finds and its codeword check are the
 same without it, so an audit's flags do not depend on the stored data
 and the engine draws none.  An audit misses only when some corrupted
 node goes unflagged, so at t = 0 none can miss: the engine answers
-0 failures with the bound and draws, builds and decodes nothing.
+0 failures with the bound and samples and decodes nothing (the model
+and its options are still checked, by storage.check_model).
 For t >= 1, trial i draws from its own rng,
-SeedSequence(master, spawn_key=(1, i)): the committed error plan first
-(storage.draw_plan), then the challenge (a true-random vector or a
-generator seed).  Trials run in blocks of _BLOCK.  A block's plans are
-built in one call (storage.build_plans: one kernel product makes every
-rank-1 error matrix, and one rank check covers them), and its seeds
-expand in one call.  The block's hash vectors are a zero n x alpha x B
-array of the field's kernel (matrix.kernel), for every field, with each
-planned node's E_i r written at its audit's column.  R (the block's
-vectors stacked) and the block's error rows (storage.error_rows: each
-plan's t x alpha x N rows, as drawn or built, concatenated) are
-converted once each, with the kernel's element check, and all the
-block's E_i r come from one stacked product.  The hash vectors, viewed
+SeedSequence(master, spawn_key=(1, i)): the committed error plan first,
+then the challenge (a true-random vector or a generator seed).  Trials
+run in blocks of _BLOCK.  A block's plans come from one call
+(storage.sample_error_plans: one kernel product makes every rank-1
+error matrix, and one rank check covers them), so every plan of the
+block is stamped before any of its challenges; then each rng draws its
+challenge, and the block's seeds expand in one call.  The block's hash
+vectors are a zero n x alpha x B array of the field's kernel
+(matrix.kernel), for every field, with each planned node's E_i r
+written at its audit's column.  R (the block's vectors stacked) and the
+block's error rows (storage.error_rows: each plan's t x alpha x N rows,
+as sampled, concatenated) are converted once each, with the kernel's
+element check, and all the block's E_i r come from one stacked
+product.  The hash vectors, viewed
 as n*alpha rows in node-block order, then go to code.hash_word_decode,
 the same rule from decoded group words to flagged nodes that verify
 applies to one vector: it checks every symbol, one syndrome product
@@ -73,11 +76,11 @@ from .hashing import (
 from .matrix import kernel
 from .storage import (
     ErrorPlan,
-    build_plans,
+    check_model,
     corrupt,
-    draw_plan,
     error_rows,
     sample_error_plan,
+    sample_error_plans,
     true_error_set,
 )
 from .verifier import check_commitment, collect_hashes, failure_bound, verify
@@ -130,6 +133,7 @@ def run_trial(state, model: str, t: int, kind: str, rng, *,
     """One audit on a restored state: commit errors, then draw the
     randomness, hash, verify, and compare against ground truth."""
     params = state.params
+    check_model(model, params, f=f, target=target)
     state.restore()
     if t:
         plan = sample_error_plan(model, t, rng, params, f=f, target=target)
@@ -153,25 +157,24 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
     rng split off the master seed by trial index, so results do not
     depend on execution order or on the block size.  With t = 0 no
     node is corrupted and no audit can miss, so the answer is 0
-    failures and the bound, with no rng built; of the model, the kind
-    and their options, only the kind is checked (by the bound).
+    failures and the bound, with no rng built; the model and its
+    options are checked first (storage.check_model), then the kind (by
+    the bound).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= t <= params.t1:
         raise ValueError(f"t={t} outside 0..t1={params.t1}")
+    check_model(model, params, f=f, target=target)
     if t == 0:
         return RateEstimate(trials, 0, theoretical_bound(params, kind))
     failures = 0
     for start in range(0, trials, _BLOCK):
-        draws, drawn = [], []
-        for i in range(start, min(start + _BLOCK, trials)):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_TRIAL, i))
-            )
-            draws.append(draw_plan(model, t, rng, params, f=f, target=target))
-            drawn.append(draw_challenge(params, kind, rng))
-        plans = build_plans(params, draws)
+        rngs = [np.random.default_rng(
+                    np.random.SeedSequence(entropy=master_seed, spawn_key=(_LABEL_TRIAL, i)))
+                for i in range(start, min(start + _BLOCK, trials))]
+        plans = sample_error_plans(model, t, rngs, params, f=f, target=target)
+        drawn = [draw_challenge(params, kind, rng) for rng in rngs]
         failures += _block_misses(params, plans, expand_challenges(drawn, params.N))
     return RateEstimate(trials, failures, theoretical_bound(params, kind))
 

@@ -18,27 +18,26 @@ Error models:
                          a negative control that forces a miss when the
                          challenge vector equals the target
 
-A plan is sampled in two steps, the way hashing splits a challenge
-into draw_challenge and expand_challenges.  draw_plan makes every rng
-call of one plan, in a fixed order (the node set W, then each node's
-matrix with its redraws), and takes the commitment tick last; it holds
-the rng's int64 draws as they are.  A single-cell, random-dense,
-rank-f or null-against-vector matrix is final at draw time: a rank-f E
-is the product of the drawn coefficients and bases (one matmul of the
-field's array kernel, matrix.kernel), redrawn until row_rank, which
-takes the drawn arrays as they are, gives f.  A rank-1 draw keeps its
-base row and coefficients, each a uniform draw redrawn while zero
-(_nonzero_row, as every random-dense row).  build_plans turns a list
-of draws into plans at once: every rank-1 E of the list is one kernel
-product, coefficients times base rows, stored back as int64, and one
-_check_rank_one, an O(t alpha N) test of every 2 x 2 minor through
-each matrix's first nonzero entry that runs under python -O too,
-covers them all.  sample_error_plan is build_plans of one draw; the
-Monte Carlo engine, which samples no plan at t = 0, draws a block's
-plans trial by trial and builds them together.  A plan keeps its
-t x alpha x N array as its one form of E (rows, read-only), which
-error_rows hands to apply_plan and the Monte Carlo engine.  Bytes are
-packed into symbols and back in one bit pass (ingest, extract).
+sample_error_plans draws one committed plan from each rng it is given,
+and sample_error_plan is its one-rng case.  check_model checks the
+model and its options once per call.  Each rng makes every call of its
+plan in a fixed order (the node set W, then each node's matrix with its
+redraws), and the plan takes the commitment tick last.  Every matrix
+of the call lives in one B x t x alpha x N int64 array, filled in place.
+A single-cell, random-dense, rank-f or null-against-vector matrix is
+final at draw time: a rank-f E is the product of the drawn
+coefficients and bases (one matmul of the field's array kernel,
+matrix.kernel), redrawn until row_rank gives f.  A rank-1 draw keeps
+its base row and coefficients, each a uniform draw redrawn while zero
+(_nonzero_row, as every random-dense row); once every rng has drawn,
+one kernel product, coefficients times base rows, fills every rank-1
+matrix of the call, and one _check_rank_one, an O(t alpha N) test of
+every 2 x 2 minor through each matrix's first nonzero entry that runs
+under python -O too, covers them all.  The Monte Carlo engine samples
+a block's plans in one call.  A plan keeps its t x alpha x N array as
+its one form of E (rows, read-only), which error_rows hands to
+apply_plan and the Monte Carlo engine.  Bytes are packed into symbols
+and back in one bit pass (ingest, extract).
 """
 
 from __future__ import annotations
@@ -117,13 +116,12 @@ class SystemState:
     Mutated only by corrupt() and restore(); share snapshots read-only.
     """
 
-    def __init__(self, params: CodeParams, G: GeneratorMatrix, nodes,
-                 clean=None, plans=None):
+    def __init__(self, params: CodeParams, G: GeneratorMatrix, nodes, clean=None):
         self.params = params
         self.G = G
         self.nodes = nodes
         self._clean = clean
-        self.plans = list(plans) if plans else []
+        self.plans = []
 
     def content(self, i: int):
         return self.nodes[check_node_id(self.params, i) - 1]
@@ -293,108 +291,77 @@ def _check_rank_one(field, E: np.ndarray, nodes) -> None:
         raise RuntimeError(f"rank-1 error matrix of node {nodes[fail]} {problem}")
 
 
-@dataclass(frozen=True, eq=False)
-class PlanDraw:
-    """The rng's part of one committed plan (draw_plan): the node ids,
-    their int64 t x alpha x N error matrices, the model, the declared
-    rank and the commitment tick.  The matrices are final for every
-    model but rank-1, whose draw holds no rows but their factors: the
-    coefficients (t x alpha) and base rows (t x N) that build_plans
-    multiplies out."""
-
-    ids: tuple[int, ...]
-    rows: np.ndarray | None
-    model: str
-    declared_rank: int | None
-    committed_at: int
-    factors: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def draw_plan(model: str, t: int, rng, params: CodeParams, *,
-              f: int | None = None, target=None) -> PlanDraw:
-    """The draw step of a committed plan: W, a uniform t-subset of
-    nodes, then each node's error matrix per the model, in the rng
-    calls' fixed order, and last the commitment tick.  rng is a numpy
-    Generator; the module docstring says how E is built and its rank
-    checked."""
+def check_model(model: str, params: CodeParams, *, f: int | None = None,
+                target=None) -> int | None:
+    """Raise BadModel unless the error model is known and has the
+    options it needs (rank-f an f, null-against-vector a nonzero target
+    of length N > 1); return the rank the model declares."""
     if model not in MODELS:
         raise BadModel(f"unknown error model {model!r}")
-    n, a, N = params.n, params.alpha, params.N
-    q = params.field.q
-    fld = params.field
-    if not 0 <= t <= n:
-        raise ValueError(f"t={t} outside 0..{n}")
-    W = tuple(sorted(int(i) + 1 for i in rng.choice(n, size=t, replace=False)))
-
-    declared = None
+    a, N = params.alpha, params.N
     if model == "rank-f":
         if f is None or not 1 <= f <= min(a, N):
             raise BadModel(f"rank-f needs 1 <= f <= min(alpha, N) = {min(a, N)}")
-        declared = f
-    elif model == "rank-1":
-        declared = 1
-    elif model == "null-against-vector":
+        return f
+    if model == "null-against-vector":
         if target is None or len(target) != N or not any(target):
             raise BadModel("null-against-vector needs a nonzero target of length N")
         if N == 1:
             raise BadModel("no nonzero row is orthogonal to a length-1 target")
+    return 1 if model == "rank-1" else None
 
+
+def sample_error_plans(model: str, t: int, rngs, params: CodeParams, *,
+                       f: int | None = None, target=None) -> list[ErrorPlan]:
+    """One committed plan per numpy Generator of rngs, in order.  Each
+    rng draws W, a uniform t-subset of nodes, then each node's error
+    matrix per the model, and its plan takes the commitment tick last;
+    the module docstring says how E is built and its rank checked."""
+    declared = check_model(model, params, f=f, target=target)
+    n, a, N = params.n, params.alpha, params.N
+    if not 0 <= t <= n:
+        raise ValueError(f"t={t} outside 0..{n}")
+    fld, q = params.field, params.field.q
     kern = kernel(fld)
-    drawn = np.zeros((t, a, N), dtype=np.int64)
-    scales, lines = np.zeros((t, a), dtype=np.int64), np.zeros((t, N), dtype=np.int64)
-    for j, E in enumerate(drawn):
-        if model == "single-cell":
-            r = int(rng.integers(a))
-            c = int(rng.integers(N))
-            E[r, c] = 1 + int(rng.integers(q - 1))
-        elif model == "random-dense":
-            E[:] = [_nonzero_row(rng, q, N) for _ in range(a)]
-        elif model == "rank-1":
-            lines[j] = _nonzero_row(rng, q, N)
-            scales[j] = _nonzero_row(rng, q, a)
-        elif model == "rank-f":
-            while True:
-                bases = np.array([_nonzero_row(rng, q, N) for _ in range(f)])
-                if row_rank(fld, bases) == f:
-                    break
-            while True:
-                coeffs = np.array([rng.integers(0, q, size=f) for _ in range(a)])
-                E[:] = kern.matmul(coeffs, bases)
-                if row_rank(fld, E) == f:
-                    break
-        else:
-            E[:] = [_orthogonal_row(rng, fld, list(target)) for _ in range(a)]
+    B = len(rngs)
+    E = np.zeros((B, t, a, N), dtype=np.int64)
+    # rank-1's factors: E[b, j] is the outer product of scales[b, j] and lines[b, j]
+    scales, lines = np.zeros((B, t, a), dtype=np.int64), np.zeros((B, t, N), dtype=np.int64)
+    drawn = []  # (W, tick) per rng
+    for b, rng in enumerate(rngs):
+        W = tuple(sorted(int(i) + 1 for i in rng.choice(n, size=t, replace=False)))
+        for j in range(t):
+            if model == "single-cell":
+                r = int(rng.integers(a))
+                c = int(rng.integers(N))
+                E[b, j, r, c] = 1 + int(rng.integers(q - 1))
+            elif model == "random-dense":
+                E[b, j] = [_nonzero_row(rng, q, N) for _ in range(a)]
+            elif model == "rank-1":
+                lines[b, j] = _nonzero_row(rng, q, N)
+                scales[b, j] = _nonzero_row(rng, q, a)
+            elif model == "rank-f":
+                while True:
+                    bases = np.array([_nonzero_row(rng, q, N) for _ in range(f)])
+                    if row_rank(fld, bases) == f:
+                        break
+                while True:
+                    coeffs = np.array([rng.integers(0, q, size=f) for _ in range(a)])
+                    E[b, j] = kern.matmul(coeffs, bases)
+                    if row_rank(fld, E[b, j]) == f:
+                        break
+            else:
+                E[b, j] = [_orthogonal_row(rng, fld, list(target)) for _ in range(a)]
+        drawn.append((W, clock.tick()))
     if model == "rank-1":
-        return PlanDraw(W, None, model, declared, clock.tick(), (scales, lines))
-    return PlanDraw(W, drawn, model, declared, clock.tick())
-
-
-def build_plans(params: CodeParams, draws) -> list[ErrorPlan]:
-    """The build step: one ErrorPlan per draw, in order, stamped with
-    the draw's tick.  Every rank-1 matrix of the draws comes from one
-    kernel product, coefficients times base rows, stored back as int64,
-    and one _check_rank_one covers them all, naming a failing matrix by
-    its node id."""
-    rank_one = [d for d in draws if d.factors is not None]
-    if rank_one:
-        coeffs = np.concatenate([d.factors[0] for d in rank_one])
-        bases = np.concatenate([d.factors[1] for d in rank_one])
-        E = np.empty((len(coeffs), params.alpha, params.N), dtype=np.int64)
-        E[:] = kernel(params.field).mul(coeffs[:, :, None], bases[:, None, :])
-        _check_rank_one(params.field, E, [i for d in rank_one for i in d.ids])
-        E.flags.writeable = False
-    plans, start = [], 0
-    for d in draws:
-        rows = d.rows
-        if d.factors is not None:  # the next len(d.ids) matrices of E
-            rows, start = E[start:start + len(d.ids)], start + len(d.ids)
-        plans.append(ErrorPlan(d.ids, rows, d.model, declared_rank=d.declared_rank,
-                               committed_at=d.committed_at))
-    return plans
+        E[:] = kern.mul(scales[..., None], lines[..., None, :])
+        _check_rank_one(fld, E.reshape(-1, a, N), [i for W, _ in drawn for i in W])
+    E.flags.writeable = False
+    return [ErrorPlan(W, rows, model, declared_rank=declared, committed_at=tick)
+            for (W, tick), rows in zip(drawn, E)]
 
 
 def sample_error_plan(model: str, t: int, rng, params: CodeParams, *,
                       f: int | None = None, target=None) -> ErrorPlan:
-    """Draw a committed plan: draw_plan, then build_plans of that one
-    draw."""
-    return build_plans(params, [draw_plan(model, t, rng, params, f=f, target=target)])[0]
+    """Draw one committed plan: sample_error_plans of the one rng."""
+    return sample_error_plans(model, t, [rng], params, f=f, target=target)[0]

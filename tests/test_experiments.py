@@ -10,7 +10,7 @@ import pytest
 import oracles
 from nxmds import code, experiments
 from nxmds.code import CodeParams, make_code
-from nxmds.errors import CommitmentViolation, SingularSystem, TooLargeToEnumerate
+from nxmds.errors import BadModel, CommitmentViolation, SingularSystem, TooLargeToEnumerate
 from nxmds.experiments import (
     CountingField,
     bias_sweep,
@@ -54,12 +54,12 @@ def test_mc_no_errors_rate_zero():
 
 @pytest.mark.parametrize("kind", ["true-random", "pseudorandom"])
 def test_mc_t_zero_is_answered_by_the_bound(monkeypatch, kind):
-    # no node is corrupted, so no audit can miss: the engine draws no
-    # plan or challenge, builds nothing and decodes nothing
+    # no node is corrupted, so no audit can miss: the engine samples no
+    # plan, draws no challenge and decodes nothing
     def refuse(*args, **kwargs):
         raise AssertionError("called at t = 0")
 
-    for name in ("draw_plan", "draw_challenge", "build_plans", "hash_word_decode"):
+    for name in ("sample_error_plans", "draw_challenge", "hash_word_decode"):
         monkeypatch.setattr(experiments, name, refuse)
     params = CodeParams(4, 2, make_field(257), 8)
     for trials in (1, 64, 200):
@@ -67,6 +67,25 @@ def test_mc_t_zero_is_answered_by_the_bound(monkeypatch, kind):
         assert est == experiments.RateEstimate(trials, 0, theoretical_bound(params, kind))
     with pytest.raises(ValueError, match="'quantum'"):
         mc_failure_rate(params, "rank-1", 0, "quantum", 10, 0)
+
+
+BAD_MODELS = [("bogus", {}), ("rank-f", {}), ("null-against-vector", {})]
+
+
+@pytest.mark.parametrize("model,kw", BAD_MODELS, ids=[m for m, _ in BAD_MODELS])
+def test_bad_model_raises_at_t_zero(model, kw):
+    # t = 0 samples no plan, yet a bad model or a missing option is
+    # refused as at t = 1, and before a bad kind
+    params = CodeParams(4, 2, make_field(17), 3)
+    for t in (0, 1):
+        for kind in ("true-random", "quantum"):
+            with pytest.raises(BadModel):
+                mc_failure_rate(params, model, t, kind, 5, 0, **kw)
+    _, G = make_code(4, 2, params.field, 3)
+    state = make_system(params, G, random_data(params, np.random.default_rng(0)))
+    for t in (0, 1):
+        with pytest.raises(BadModel):
+            run_trial(state, model, t, "true-random", np.random.default_rng(1), **kw)
 
 
 def test_mc_reproducible():
@@ -155,17 +174,15 @@ def test_engine_matches_run_trial_replay(q, kind):
 
 @pytest.mark.parametrize("q", [257, 9])
 def test_engine_reads_the_sampled_rows(monkeypatch, q):
-    # draws and plans copied by dataclasses.replace give the same estimate
+    # plans copied by dataclasses.replace give the same estimate
     params = CodeParams(6, 2, field_from_order(q), 3)
-    draw, build = experiments.draw_plan, experiments.build_plans
+    sample = experiments.sample_error_plans
     for model in ("rank-1", "random-dense"):
         want = mc_failure_rate(params, model, 2, "true-random", 40, 3)
         assert want.failures < 40
         with monkeypatch.context() as m:
-            m.setattr(experiments, "draw_plan",
-                      lambda *a, **kw: dataclasses.replace(draw(*a, **kw)))
-            m.setattr(experiments, "build_plans",
-                      lambda params, draws: [dataclasses.replace(p) for p in build(params, draws)])
+            m.setattr(experiments, "sample_error_plans",
+                      lambda *a, **kw: [dataclasses.replace(p) for p in sample(*a, **kw)])
             assert mc_failure_rate(params, model, 2, "true-random", 40, 3) == want
 
 
@@ -181,15 +198,14 @@ def test_estimate_independent_of_block_size(monkeypatch, block, kind):
 
 
 def test_engine_rejects_late_plan(monkeypatch):
-    # a draw stamped after its trial's vector: the built plan keeps the
-    # draw's tick, and the engine refuses it
-    draw = experiments.draw_plan
+    # plans stamped after their trials' vectors: the engine refuses them
+    sample = experiments.sample_error_plans
 
     def late(*args, **kwargs):
-        drawn = draw(*args, **kwargs)
-        return dataclasses.replace(drawn, committed_at=drawn.committed_at + 10 ** 9)
+        return [dataclasses.replace(p, committed_at=p.committed_at + 10 ** 9)
+                for p in sample(*args, **kwargs)]
 
-    monkeypatch.setattr(experiments, "draw_plan", late)
+    monkeypatch.setattr(experiments, "sample_error_plans", late)
     params = CodeParams(4, 2, F5, 3)
     for model in ("rank-1", "single-cell"):
         with pytest.raises(CommitmentViolation):

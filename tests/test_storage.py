@@ -461,26 +461,29 @@ def model_kw(model):
 
 @pytest.mark.parametrize("params", BLOCK_CODES.values(), ids=BLOCK_CODES.keys())
 def test_block_build_equals_one_by_one(params):
-    # the same draws, built one at a time (sample_error_plan) and as one
-    # block, every model interleaved and t = 0 among them, give the same
-    # plans, stamped in draw order
-    steps = [(model, t) for t in (params.t1, 0, 1) for model in storage.MODELS]
-    one, block = np.random.default_rng(5), np.random.default_rng(5)
-    singles = [sample_error_plan(m, t, one, params, **model_kw(m)) for m, t in steps]
-    draws = [storage.draw_plan(m, t, block, params, **model_kw(m)) for m, t in steps]
-    plans = storage.build_plans(params, draws)
-    assert one.integers(2 ** 62) == block.integers(2 ** 62)
-    ticks = [plan.committed_at for plan in plans]
-    assert ticks == [d.committed_at for d in draws] == sorted(set(ticks))
-    assert [p.committed_at for p in singles] == sorted(set(p.committed_at for p in singles))
-    for a, b, (model, t) in zip(singles, plans, steps):
-        assert a.ids == b.ids and len(b.ids) == t
-        assert a.rows.dtype == b.rows.dtype == np.int64
-        assert a.rows.shape == b.rows.shape == (t, params.alpha, params.N)
-        assert a.rows.tolist() == b.rows.tolist() and a.entries == b.entries
-        assert a.model == b.model == model
-        assert a.declared_rank == b.declared_rank
-        assert not b.rows.flags.writeable
+    # twin rngs give the same plans sampled one at a time
+    # (sample_error_plan) and as one block, for every model and t = 0
+    # among them, stamped in rng order; each rng ends in the same state
+    for model in storage.MODELS:
+        for t in (params.t1, 0, 1):
+            seeds = [[params.field.q, storage.MODELS.index(model), t, b] for b in range(4)]
+            ones = [np.random.default_rng(seed) for seed in seeds]
+            twins = [np.random.default_rng(seed) for seed in seeds]
+            singles = [sample_error_plan(model, t, rng, params, **model_kw(model)) for rng in ones]
+            plans = storage.sample_error_plans(model, t, twins, params, **model_kw(model))
+            nexts = [[rng.integers(2 ** 62) for rng in rngs] for rngs in (ones, twins)]
+            assert nexts[0] == nexts[1]
+            ticks = [plan.committed_at for plan in plans]
+            assert ticks == sorted(set(ticks))
+            assert [p.committed_at for p in singles] == sorted(set(p.committed_at for p in singles))
+            for a, b in zip(singles, plans, strict=True):
+                assert a.ids == b.ids and len(b.ids) == t
+                assert a.rows.dtype == b.rows.dtype == np.int64
+                assert a.rows.shape == b.rows.shape == (t, params.alpha, params.N)
+                assert a.rows.tolist() == b.rows.tolist() and a.entries == b.entries
+                assert a.model == b.model == model
+                assert a.declared_rank == b.declared_rank
+                assert not b.rows.flags.writeable
 
 
 def test_block_build_names_a_rank_two_matrix(monkeypatch):
@@ -488,8 +491,11 @@ def test_block_build_names_a_rank_two_matrix(monkeypatch):
     # broken kernel) is caught by the block's one check, which names
     # its node
     params = CodeParams(6, 2, F17, 3)
-    rng = np.random.default_rng(3)
-    draws = [storage.draw_plan("rank-1", 2, rng, params) for _ in range(5)]
+
+    def rngs():
+        return [np.random.default_rng([3, b]) for b in range(5)]
+
+    want = storage.sample_error_plans("rank-1", 2, rngs(), params)
     real = kernel(params.field)
 
     class Broken:
@@ -502,14 +508,14 @@ def test_block_build_names_a_rank_two_matrix(monkeypatch):
             out = real.mul(a, b)
             Broken.calls += 1
             if Broken.calls == 1:  # the build's product, not the check's
-                out[5] = 0
-                out[5, 0, 0] = out[5, 1, 1] = 1
+                out[2, 1] = 0
+                out[2, 1, 0, 0] = out[2, 1, 1, 1] = 1
             return out
 
     monkeypatch.setattr(storage, "kernel", lambda field: Broken())
-    message = f"^rank-1 error matrix of node {draws[2].ids[1]} has rank above 1$"
+    message = f"^rank-1 error matrix of node {want[2].ids[1]} has rank above 1$"
     with pytest.raises(RuntimeError, match=message):
-        storage.build_plans(params, draws)
+        storage.sample_error_plans("rank-1", 2, rngs(), params)
 
 
 _OPTIMISED = """
