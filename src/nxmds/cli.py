@@ -18,7 +18,7 @@ import numpy as np
 from . import container
 from .code import CodeParams, encode_array, make_code, node_rows
 from .errors import NxmdsError
-from .experiments import bias_sweep, mc_failure_rate
+from .experiments import bias_sweep, check_run, mc_failure_rate
 from .field import field_from_order
 from .hashing import (
     PSEUDORANDOM,
@@ -319,11 +319,14 @@ def cmd_experiment(args) -> int:
         "n", "k", "q", "N", "model", "t", "kind", "trials", "failures",
         "estimate", "sigma", "lo", "hi", "bound", "result",
     ])
+    if args.trials < 0:
+        raise ValueError("trials must be >= 0")
     for idx, q in enumerate(qs):
-        if args.trials < 1:
-            continue
         field = field_from_order(q)
         params, _ = make_code(args.n, args.k, field, args.N)
+        if args.trials == 0:  # no row, but the inputs of a run are checked
+            check_run(params, model, t, f=args.rank)
+            continue
         est = mc_failure_rate(params, model, t, kind, args.trials,
                               (args.seed, LABEL_GRID, idx), f=args.rank)
         ok = est.estimate <= est.bound + 3 * est.sigma
@@ -362,8 +365,7 @@ def cmd_bias_check(args) -> int:
 
 
 def cmd_params(args) -> int:
-    spec = choose_field(args.M, args.n, args.k, args.mode)
-    field = spec.build()
+    field = choose_field(args.M, args.n, args.k, args.mode)
     kind = THEOREMS[args.mode]
     if args.N is not None:
         N = args.N
@@ -380,8 +382,8 @@ def cmd_params(args) -> int:
         ("k", args.k),
         ("mode", args.mode),
         ("q", field.q),
-        ("p", spec.p),
-        ("s", spec.s),
+        ("p", field.p),
+        ("s", field.s),
         ("N", N),
         ("hash-bits", budget.hash_bits),
         ("naive-bits", naive_fetch_bits(args.n, args.k, args.M)),

@@ -148,6 +148,15 @@ def theoretical_bound(params: CodeParams, kind: str) -> float:
     return float(failure_bound(params.n, params.k, params.field.q, kind))
 
 
+def check_run(params: CodeParams, model: str, t: int, *,
+              f: int | None = None, target=None) -> None:
+    """The checks mc_failure_rate makes before its first trial: t within
+    0..t1, then the model and its options (storage.check_model)."""
+    if not 0 <= t <= params.t1:
+        raise ValueError(f"t={t} outside 0..t1={params.t1}")
+    check_model(model, params, f=f, target=target)
+
+
 def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
                     trials: int, master_seed: int, *,
                     f: int | None = None, target=None) -> RateEstimate:
@@ -163,9 +172,7 @@ def mc_failure_rate(params: CodeParams, model: str, t: int, kind: str,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 <= t <= params.t1:
-        raise ValueError(f"t={t} outside 0..t1={params.t1}")
-    check_model(model, params, f=f, target=target)
+    check_run(params, model, t, f=f, target=target)
     if t == 0:
         return RateEstimate(trials, 0, theoretical_bound(params, kind))
     failures = 0

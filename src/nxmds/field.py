@@ -6,6 +6,16 @@ significant digit first) are the coefficients of the residue polynomial
 in ascending degree.  This encoding is canonical: one integer per field
 value, 0 and 1 are always the additive and multiplicative identities.
 
+PrimeField and ExtensionField share one base, _Field, which holds the
+element test against q, inversion as a^(q-2) through the subclass's
+pow, division through its mul, and the cached generator; each subclass
+writes out only its add, sub, neg, mul, pow and encoding.
+ExtensionField._mul_digits keeps its own reduction rather than calling
+_poly_mulmod: the polynomial helpers skip zero coefficients, which
+speeds the modulus search, while an extension product must cost the
+same base-field operations for every pair of elements, so that
+instrumented counts (experiments.cost_counter) do not depend on values.
+
 Moduli are chosen deterministically: candidate monic polynomials are
 scanned in increasing order of their coefficient encoding, and the first
 irreducible one wins.  Irreducibility is decided by Rabin's test (M. O.
@@ -21,7 +31,6 @@ Examples of moduli found this way:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FieldMismatch, NonPrimeCharacteristic
@@ -61,7 +70,35 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class PrimeField:
+class _Field:
+    """What GF(p) and GF(b^m) share, written once against self.q and
+    each subclass's pow and mul: the element test, inversion by
+    Fermat's little theorem, division and the cached generator."""
+
+    __slots__ = ()
+
+    def check(self, a: int) -> int:
+        if not isinstance(a, int) or not 0 <= a < self.q:
+            raise FieldMismatch(f"{a!r} is not an element of {self!r}")
+        return a
+
+    def inv(self, a: int) -> int:
+        if self.check(a) == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self.pow(a, self.q - 2)
+
+    def div(self, a: int, b: int) -> int:
+        return self.mul(a, self.inv(b))
+
+    @property
+    def generator(self) -> int:
+        """Smallest element (by encoding) generating the multiplicative group."""
+        if self._gen is None:
+            self._gen = _find_generator(self)
+        return self._gen
+
+
+class PrimeField(_Field):
     """GF(p): integers mod a prime p."""
 
     __slots__ = ("p", "s", "q", "modulus", "_gen")
@@ -85,11 +122,6 @@ class PrimeField:
     def __hash__(self):
         return hash(("GF", self.p))
 
-    def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.p:
-            raise FieldMismatch(f"{a!r} is not an element of {self!r}")
-        return a
-
     def add(self, a: int, b: int) -> int:
         return (self.check(a) + self.check(b)) % self.p
 
@@ -102,29 +134,14 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return self.check(a) * self.check(b) % self.p
 
-    def inv(self, a: int) -> int:
-        if self.check(a) == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         # convention: 0^0 = 1
         if e < 0:
             raise ValueError("negative exponent")
         return pow(self.check(a), e, self.p)
 
-    @property
-    def generator(self) -> int:
-        """Smallest element (by encoding) generating the multiplicative group."""
-        if self._gen is None:
-            self._gen = _find_generator(self)
-        return self._gen
 
-
-class ExtensionField:
+class ExtensionField(_Field):
     """GF(b^m): degree-m extension of a base field of order b.
 
     Arithmetic is polynomial arithmetic on the digit vectors, reduced by
@@ -157,11 +174,6 @@ class ExtensionField:
 
     def __hash__(self):
         return hash(("EXT", self.base, self.m))
-
-    def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise FieldMismatch(f"{a!r} is not an element of {self!r}")
-        return a
 
     # -- digit encoding --------------------------------------------------
 
@@ -215,14 +227,6 @@ class ExtensionField:
                 prod[d - m + t] = f.sub(prod[d - m + t], f.mul(c, mod[t]))
         return prod[:m]
 
-    def inv(self, a: int) -> int:
-        if self.check(a) == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("negative exponent")
@@ -236,12 +240,6 @@ class ExtensionField:
             if e:
                 base = self.mul(base, base)
         return out
-
-    @property
-    def generator(self) -> int:
-        if self._gen is None:
-            self._gen = _find_generator(self)
-        return self._gen
 
 
 def _find_generator(field) -> int:
@@ -391,21 +389,6 @@ def next_prime_power(x: int) -> tuple[int, int]:
         if ps is not None:
             return ps
         q += 1
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Portable description of a field: characteristic p and degree s."""
-
-    p: int
-    s: int = 1
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.s
-
-    def build(self):
-        return make_field(self.p, self.s)
 
 
 def iter_elements(field):

@@ -100,6 +100,10 @@ def make_prg_seed(field, N: int, rng) -> PrgSeed:
 
 
 def _check_room(ext, N: int):
+    """The checks of both expansions: N >= 1 and an extension with
+    room for a bias below 1."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if ext.q < (ext.base.q - 1) * (N - 1):
         raise ExtensionTooSmall(
             f"q^m = {ext.q} below (q-1)(N-1) = {(ext.base.q - 1) * (N - 1)}"

@@ -42,7 +42,7 @@ from .errors import (
     SingularSystem,
     TooFewHelpers,
 )
-from .field import FieldSpec, next_prime_power, symbol_bits
+from .field import make_field, next_prime_power, symbol_bits
 from .hashing import PSEUDORANDOM, TRUE_RANDOM, node_hash, seed_bit_count
 from .matrix import kernel
 from .storage import SystemState
@@ -196,10 +196,10 @@ def failure_bound(n: int, k: int, q: int, kind: str) -> Fraction:
     raise ValueError(f"unknown randomness kind {kind!r}")
 
 
-def choose_field(M_bits: int, n: int, k: int, mode: str) -> FieldSpec:
-    """Field sizing that pushes the failure bound of THEOREMS[mode]
-    below 1/M: the bound is c/q, so the target is q >= c*M.  Rounding
-    up to a prime power only shrinks the bound."""
+def choose_field(M_bits: int, n: int, k: int, mode: str):
+    """The field, GF(p^s) from make_field, whose size pushes the failure
+    bound of THEOREMS[mode] below 1/M: the bound is c/q, so the target
+    is q >= c*M.  Rounding up to a prime power only shrinks the bound."""
     if M_bits < 1:
         raise ValueError("M must be >= 1")
     if k >= n:
@@ -210,4 +210,4 @@ def choose_field(M_bits: int, n: int, k: int, mode: str) -> FieldSpec:
     if mode not in THEOREMS:
         raise ValueError(f"unknown mode {mode!r}")
     target = int(failure_bound(n, k, 1, THEOREMS[mode]) * M_bits)  # c*M
-    return FieldSpec(*next_prime_power(max(target, 2)))
+    return make_field(*next_prime_power(max(target, 2)))

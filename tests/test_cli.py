@@ -414,6 +414,35 @@ def test_experiment_zero_trials(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "4", "--k", "2", "--q", "6"), "6 is not a prime power"),
+    (("--n", "4", "--k", "4", "--q", "17"), "need n > k"),
+    (("--n", "4", "--k", "2", "--q", "17", "--model", "bogus:1"), "unknown error model"),
+    (("--n", "4", "--k", "2", "--q", "17", "--model", "rank1:5"), "t=5 outside 0..t1=1"),
+], ids=["q-not-prime-power", "n-equals-k", "unknown-model", "t-above-t1"])
+def test_experiment_zero_trials_checks_inputs(tmp_path, capsys, argv, message):
+    # a run of no trials refuses what a run of one trial refuses
+    out = tmp_path / "sweep.csv"
+    for trials in ("0", "1"):
+        code, text, err = run(capsys, "experiment", *argv, "--trials", trials,
+                              "--out", str(out))
+        assert (code, text) == (1, "") and message in err
+        assert not out.exists()
+
+
+def test_experiment_refuses_negative_trials(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, text, err = run(capsys, "experiment", "--n", "4", "--k", "2", "--q", "17",
+                          "--trials", "-3", "--out", str(out))
+    assert (code, text, err) == (1, "", "error: trials must be >= 0\n")
+    assert not out.exists()
+
+
+def test_bias_check_refuses_n_below_one(capsys):
+    code, text, err = run(capsys, "bias-check", "--q", "17", "--N", "0")
+    assert (code, text, err) == (1, "", "error: N must be >= 1\n")
+
+
 def test_bias_check(capsys):
     code, text, _ = run(capsys, "bias-check", "--q", "2", "--N", "4")
     assert code == 0

@@ -23,7 +23,7 @@ from nxmds.experiments import (
     run_trial,
     theoretical_bound,
 )
-from nxmds.field import field_from_order, make_field
+from nxmds.field import ExtensionField, field_from_order, make_field
 from nxmds.storage import ErrorPlan, make_system, random_data, sample_error_plan
 
 F5 = make_field(5)
@@ -359,6 +359,12 @@ def test_bias_sweep_agrees_with_scalar_enumerator():
     assert (best, best_zero) == (worst, worst_zero)
 
 
+@pytest.mark.parametrize("N", [0, -2])
+def test_bias_sweep_refuses_n_below_one(N):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        bias_sweep(17, N)
+
+
 def test_bias_sweep_needs_prime_q():
     with pytest.raises(ValueError):
         bias_sweep(4, 3)
@@ -400,6 +406,25 @@ def test_cost_counter_baseline():
     # pinned from the first instrumented run; also the closed form
     # N*2m + (N-1)*(4m^2 - 2m) with N=8, m=3
     assert cost_counter(2, [8]) == [(8, 3, 258)]
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (2, 2), (3, 3), (3, 2)])
+def test_extension_counts_do_not_depend_on_values(p, m):
+    # mul has no value-dependent shortcut (cost_counter's promise), and
+    # the field base's inv and div go through the extension's pow and mul
+    counting = CountingField(make_field(p))
+    ext = ExtensionField(counting, m)
+
+    def cost(op, *args):
+        counting.count = 0
+        getattr(ext, op)(*args)
+        return counting.count
+
+    elements, nonzero = range(ext.q), range(1, ext.q)
+    (mul,) = {cost("mul", a, b) for a in elements for b in elements}
+    (inv,) = {cost("inv", a) for a in nonzero}
+    assert mul > 0 and inv > 0
+    assert {cost("div", a, b) for a in elements for b in nonzero} == {mul + inv}
 
 
 def test_cost_counter_linear_in_n():

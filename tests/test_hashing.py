@@ -129,6 +129,15 @@ def test_prg_expand_too_small():
         prg_expand(PrgSeed(1, 1, ext), 9)
 
 
+@pytest.mark.parametrize("N", [0, -2])
+def test_expansions_refuse_n_below_one(N):
+    seed = PrgSeed(1, 1, make_extension(F5, 2))
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        prg_expand(seed, N)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        prg_expand_many([seed], N)
+
+
 def test_make_prg_seed_sizing():
     rng = np.random.default_rng(1)
     s = make_prg_seed(F2, 9, rng)

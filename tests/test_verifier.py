@@ -18,7 +18,7 @@ from nxmds.errors import (
     TooFewHelpers,
 )
 from nxmds.experiments import _block_misses
-from nxmds.field import FieldSpec, make_field
+from nxmds.field import make_field
 from nxmds.hashing import (
     RandomVector,
     draw_random_vector,
@@ -426,9 +426,9 @@ def test_accounting_naive_rounds_up():
 
 
 def test_choose_field():
-    assert choose_field(100, 4, 2, "thm1") == FieldSpec(101, 1)
-    assert choose_field(100, 4, 2, "thm2") == FieldSpec(401, 1)
-    assert choose_field(10, 4, 2, "thm1") == FieldSpec(11, 1)
+    assert choose_field(100, 4, 2, "thm1") == make_field(101, 1)
+    assert choose_field(100, 4, 2, "thm2") == make_field(401, 1)
+    assert choose_field(10, 4, 2, "thm1") == make_field(11, 1)
     spec = choose_field(1000, 9, 5, "thm1")  # t1 = 2, target 2000
     assert spec.q >= 2000
     with pytest.raises(DegenerateCode):
